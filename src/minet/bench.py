@@ -4,8 +4,8 @@ Three drivers, all deterministic for a fixed seed:
 
 * `run_lookup_bench` — probe-count tables and wall-clock comparison of
   the longest-first linear scan against the prefix-length binary search,
-  over any of three execution routes (batch kernel as configured, the
-  pure-Python kernel loops, or the per-name dict-backed table);
+  over either execution route (the numpy batch kernels or the per-name
+  dict-backed table that is their oracle);
 * `run_consistency_drill` — randomized insert/delete churn with
   structural integrity checks at fixed intervals and a final sweep
   comparing the binary-search path, the linear oracle, and an
@@ -35,7 +35,7 @@ SCALING_NOTE = ("desk-scale run: one process, synthetic names, in-memory "
                 "tables; probe counts and ratios are size-determined, "
                 "wall-clock figures scale with the machine")
 
-ROUTES = ("kernel", "kernel-py", "dict")
+ROUTES = ("kernel", "dict")
 
 
 class BenchError(ValueError):
@@ -58,19 +58,11 @@ class LookupRow:
 class LookupReport:
     entry_count: int
     query_count: int
-    route: str                    # kernel/<backend>, kernel-py, or dict
+    route: str                    # kernel/<backend> or dict
     build_wall_s: float
     pack_wall_s: float
     rows: tuple[LookupRow, ...]
     note: str = SCALING_NOTE
-
-
-def _batch_fns(route: str):
-    if route == "kernel":
-        return kernels.lpm_batch, kernels.linear_batch, f"kernel/{kernels.BACKEND}"
-    if route == "kernel-py":
-        return kernels.lpm_batch_py, kernels.linear_batch_py, "kernel-py"
-    raise BenchError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
 def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
@@ -98,10 +90,9 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
         t0 = time.perf_counter()
         packed = pack_fib(hpt)
         pack_wall = time.perf_counter() - t0
-        kernels.warmup()
 
     rows = []
-    route_label = "dict" if route == "dict" else _batch_fns(route)[2]
+    route_label = "dict" if route == "dict" else f"kernel/{kernels.BACKEND}"
     for n in query_lens:
         if n == spec.query_len:
             queries = workload.queries
@@ -115,22 +106,23 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
         if route == "dict":
             row = _dict_row(hpt, queries, mode, mean_entry_len, n)
         else:
-            row = _kernel_row(packed, queries, route, mode, mean_entry_len, n)
+            row = _kernel_row(packed, queries, mode, mean_entry_len, n)
         rows.append(row)
     return LookupReport(entry_count, query_count, route_label,
                         build_wall, pack_wall, tuple(rows))
 
 
-def _kernel_row(packed, queries, route, mode, m, n) -> LookupRow:
-    lpm, linear, _ = _batch_fns(route)
+def _kernel_row(packed, queries, mode, m, n) -> LookupRow:
     fps, lens = pack_queries(packed, queries)
     t0 = time.perf_counter()
-    *_, bin_probes = lpm(fps, lens, packed.table_fp, packed.table_node,
-                         np.uint64(packed.mask), packed.state, packed.parent)
+    *_, bin_probes = kernels.lpm_batch(
+        fps, lens, packed.table_fp, packed.table_node,
+        np.uint64(packed.mask), packed.state, packed.parent)
     bin_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    *_, lin_probes = linear(fps, lens, packed.table_fp, packed.table_node,
-                            np.uint64(packed.mask), packed.state)
+    *_, lin_probes = kernels.linear_batch(
+        fps, lens, packed.table_fp, packed.table_node,
+        np.uint64(packed.mask), packed.state)
     lin_wall = time.perf_counter() - t0
     return _row(mode, m, n, float(lin_probes.mean()),
                 float(bin_probes.mean()), lin_wall, bin_wall)

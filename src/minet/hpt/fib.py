@@ -100,7 +100,6 @@ class Hpt:
         self.root = FibNode("", EntryState.VIRTUAL)
         self.index: dict[str, FibNode] = {}
         self.alt_index: dict[Identifier, ContentName] = {}
-        self.probes_total = 0
 
     # -- size helpers -------------------------------------------------
 
@@ -242,7 +241,6 @@ class Hpt:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        self.probes_total += probes
         if last is None or last.state == EntryState.VIRTUAL:
             return LookupResult(False, None, None, probes)
         if last.state == EntryState.REAL:

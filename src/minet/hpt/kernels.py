@@ -1,125 +1,103 @@
 """Batch lookup kernels over a PackedFib.
 
-The jitted path is the default; set MINET_NO_NUMBA=1 (or run without
-numba installed) to select the pure-Python fallback, which executes the
-same loops over the same arrays.  Both paths implement exactly the
-schedules of Hpt.lookup_lpm and Hpt.lookup_oracle, so probe counts and
-outcomes are comparable across all three routes.
+Each kernel runs the whole batch in lockstep with numpy: every query
+still searching makes its next probe in the same step.  The schedules are
+exactly those of Hpt.lookup_lpm and Hpt.lookup_oracle, so probe counts
+and outcomes match the dict-walking table, which is the kernels' oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-    numba = None
+BACKEND = "numpy"
 
 _STATE_REAL = 0
 _STATE_VIRTUAL = 1
 
 
-def _lpm_batch(fps, lens, table_fp, table_node, mask, state, parent):
+def _probe(fp, table_fp, table_node, mask):
+    """Node id stored under each fingerprint, -1 where there is none.
+
+    Linear probing from `fp & mask`, wrapping through `mask`, until the
+    fingerprint or an empty slot turns up.
+    """
+    found = np.full(fp.shape[0], -1, dtype=np.int32)
+    rows = np.arange(fp.shape[0])
+    slot = fp & mask
+    while rows.size:
+        node = table_node[slot]
+        occupied = node != -1
+        match = occupied & (table_fp[slot] == fp)
+        found[rows[match]] = node[match]
+        more = occupied & ~match
+        rows, fp = rows[more], fp[more]
+        slot = (slot[more] + np.uint64(1)) & mask
+    return found
+
+
+def _outputs(q):
+    return (np.zeros(q, dtype=np.uint8), np.full(q, -1, dtype=np.int32),
+            np.zeros(q, dtype=np.int32), np.zeros(q, dtype=np.int32))
+
+
+def lpm_batch(fps, lens, table_fp, table_node, mask, state, parent):
+    """Binary search on prefix lengths; semi-virtual hits walk parents."""
     q = lens.shape[0]
-    hit = np.zeros(q, dtype=np.uint8)
-    node_out = np.full(q, -1, dtype=np.int32)
-    len_out = np.zeros(q, dtype=np.int32)
-    probes = np.zeros(q, dtype=np.int32)
-    for i in range(q):
-        lo = 1
-        hi = lens[i]
-        last = -1
-        last_len = 0
-        p = 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            fp = fps[i, mid - 1]
-            p += 1
-            slot = fp & mask
-            found = -1
-            while table_node[slot] != -1:
-                if table_fp[slot] == fp:
-                    found = table_node[slot]
-                    break
-                slot = (slot + np.uint64(1)) & mask
-            if found != -1:
-                last = found
-                last_len = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        probes[i] = p
-        if last == -1 or state[last] == _STATE_VIRTUAL:
-            continue
-        if state[last] == _STATE_REAL:
-            hit[i] = 1
-            node_out[i] = last
-            len_out[i] = last_len
-            continue
-        cur = parent[last]
-        d = last_len - 1
-        while cur != -1:
-            if state[cur] == _STATE_REAL:
-                hit[i] = 1
-                node_out[i] = cur
-                len_out[i] = d
-                break
-            cur = parent[cur]
-            d -= 1
+    hit, node_out, len_out, probes = _outputs(q)
+    lo = np.ones(q, dtype=np.int32)
+    hi = lens.astype(np.int32)
+    last = np.full(q, -1, dtype=np.int32)
+    last_len = np.zeros(q, dtype=np.int32)
+    active = np.flatnonzero(lo <= hi)
+    while active.size:
+        mid = (lo[active] + hi[active]) // 2
+        probes[active] += 1
+        found = _probe(fps[active, mid - 1], table_fp, table_node, mask)
+        ok = found != -1
+        rows = active[ok]
+        last[rows] = found[ok]
+        last_len[rows] = mid[ok]
+        lo[rows] = mid[ok] + 1
+        hi[active[~ok]] = mid[~ok] - 1
+        active = active[lo[active] <= hi[active]]
+
+    # Virtual terminals miss and real ones stop at once; semi-virtual ones
+    # climb past non-real ancestors to a real one, or miss at the top (-1).
+    rows = np.flatnonzero(last != -1)
+    cur, depth = last[rows], last_len[rows]
+    kept = state[cur] != _STATE_VIRTUAL
+    rows, cur, depth = rows[kept], cur[kept], depth[kept]
+    while rows.size:
+        real = state[cur] == _STATE_REAL
+        done = rows[real]
+        hit[done] = 1
+        node_out[done] = cur[real]
+        len_out[done] = depth[real]
+        cur = parent[cur[~real]]
+        rows, depth = rows[~real], depth[~real] - 1
+        up = cur != -1
+        rows, cur, depth = rows[up], cur[up], depth[up]
     return hit, node_out, len_out, probes
 
 
-def _linear_batch(fps, lens, table_fp, table_node, mask, state):
+def linear_batch(fps, lens, table_fp, table_node, mask, state):
+    """Longest-first scan: probe every prefix until a real entry."""
     q = lens.shape[0]
-    hit = np.zeros(q, dtype=np.uint8)
-    node_out = np.full(q, -1, dtype=np.int32)
-    len_out = np.zeros(q, dtype=np.int32)
-    probes = np.zeros(q, dtype=np.int32)
-    for i in range(q):
-        p = 0
-        for length in range(lens[i], 0, -1):
-            fp = fps[i, length - 1]
-            p += 1
-            slot = fp & mask
-            found = -1
-            while table_node[slot] != -1:
-                if table_fp[slot] == fp:
-                    found = table_node[slot]
-                    break
-                slot = (slot + np.uint64(1)) & mask
-            if found != -1 and state[found] == _STATE_REAL:
-                hit[i] = 1
-                node_out[i] = found
-                len_out[i] = length
-                break
-        probes[i] = p
+    hit, node_out, len_out, probes = _outputs(q)
+    length = lens.astype(np.int32)
+    active = np.flatnonzero(length > 0)
+    while active.size:
+        cur = length[active]
+        probes[active] += 1
+        found = _probe(fps[active, cur - 1], table_fp, table_node, mask)
+        real = found != -1
+        real[real] = state[found[real]] == _STATE_REAL
+        done = active[real]
+        hit[done] = 1
+        node_out[done] = found[real]
+        len_out[done] = cur[real]
+        rest = active[~real]
+        length[rest] -= 1
+        active = rest[length[rest] > 0]
     return hit, node_out, len_out, probes
-
-
-lpm_batch_py = _lpm_batch
-linear_batch_py = _linear_batch
-
-_flag = os.environ.get("MINET_NO_NUMBA", "")
-if numba is not None and _flag in ("", "0"):
-    lpm_batch = numba.njit(cache=True)(_lpm_batch)
-    linear_batch = numba.njit(cache=True)(_linear_batch)
-    BACKEND = "numba"
-else:
-    lpm_batch = _lpm_batch
-    linear_batch = _linear_batch
-    BACKEND = "python"
-
-
-def warmup() -> None:
-    """Trigger jit compilation outside of any timed region."""
-    fps = np.zeros((1, 1), dtype=np.uint64)
-    lens = np.ones(1, dtype=np.int32)
-    tfp = np.zeros(8, dtype=np.uint64)
-    tnode = np.full(8, -1, dtype=np.int32)
-    state = np.zeros(1, dtype=np.uint8)
-    parent = np.full(1, -1, dtype=np.int32)
-    lpm_batch(fps, lens, tfp, tnode, np.uint64(7), state, parent)
-    linear_batch(fps, lens, tfp, tnode, np.uint64(7), state)

@@ -4,7 +4,9 @@ Names are fingerprinted by rolling a 64-bit FNV-1a over per-component
 vocabulary ids; the open-addressing table maps fingerprints to node ids.
 A fingerprint collision between two distinct names is detected at build
 time and resolved by rebuilding with a new salt, so the kernels see an
-injective mapping.
+injective mapping.  The vocabulary is fixed at build time: ids start at
+1, and query packing maps every component the table never saw to the
+reserved id 0, which no table key contains.
 """
 
 from __future__ import annotations
@@ -38,15 +40,11 @@ class PackedFib:
     salt: int = 0
 
 
-def _fp_prefixes(comps, vocab: dict[str, int], salt: int) -> list[int]:
-    """Fingerprints of every prefix of comps, shortest first."""
+def _fp_prefixes(cids, salt: int) -> list[int]:
+    """Fingerprints of every prefix of a component-id chain, shortest first."""
     h = _FNV_OFFSET ^ salt
     out = []
-    for comp in comps:
-        cid = vocab.get(comp)
-        if cid is None:
-            cid = len(vocab) + 1
-            vocab[comp] = cid
+    for cid in cids:
         h = ((h ^ cid) * _FNV_PRIME) & _MASK64
         out.append(h)
     return out
@@ -81,7 +79,8 @@ def _build(hpt: Hpt, count: int, size: int, salt: int) -> PackedFib:
         node_ids[id(node)] = nid
     for nid, (text, node) in enumerate(items):
         comps = text.split("/")[1:]
-        fp = _fp_prefixes(comps, vocab, salt)[-1]
+        cids = [vocab.setdefault(comp, len(vocab) + 1) for comp in comps]
+        fp = _fp_prefixes(cids, salt)[-1]
         slot = fp & mask
         while table_node[slot] != -1:
             if int(table_fp[slot]) == fp:
@@ -103,17 +102,18 @@ def pack_queries(packed: PackedFib, queries: list[ContentName]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Prefix-fingerprint matrix and length vector for a query batch.
 
-    Components unseen at pack time extend the vocabulary, which keeps
-    their fingerprints distinct from every table key.
+    Components unseen at pack time get the reserved id 0, which no table
+    key contains; the vocabulary is only read.
     """
     q = len(queries)
     max_len = max((len(name) for name in queries), default=1)
     fps = np.zeros((q, max_len), dtype=np.uint64)
     lens = np.empty(q, dtype=np.int32)
-    vocab = packed.vocab
+    get = packed.vocab.get
     salt = packed.salt
     for i, name in enumerate(queries):
-        chain = _fp_prefixes(name.components, vocab, salt)
+        chain = _fp_prefixes([get(comp, 0) for comp in name.components],
+                             salt)
         lens[i] = len(chain)
         fps[i, :len(chain)] = chain
     return fps, lens

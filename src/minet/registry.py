@@ -114,7 +114,8 @@ class Domain:
         self.chain = Chain(first_leader=supervisors[0])
         self.offchain: dict[Identifier, RegistrationRecord] = {}
         self.fib = Hpt()
-        self.cache: dict[Identifier, RegistrationRecord] = {}
+        self.cache: dict[Identifier, tuple[RegistrationRecord,
+                                           Optional[ForwardingInfo]]] = {}
 
     def add_child(self, label: str,
                   supervisors: Optional[tuple[int, ...]] = None) -> "Domain":
@@ -271,9 +272,7 @@ class Hierarchy:
                         f"handing off to the IP proxy")
         cached = origin.cache.get(ident)
         if cached is not None:
-            return ResolutionResult(ResolutionOutcome.RESOLVED, tuple(hops),
-                                    record=cached,
-                                    message="served from cache")
+            return _resolved(cached, hops, "served from cache")
         visited = {origin.name}
         node = origin.parent
         while node is not None:
@@ -358,7 +357,7 @@ class Hierarchy:
             return
         if len(origin.cache) >= CACHE_LIMIT:
             origin.cache.pop(next(iter(origin.cache)))
-        origin.cache[record.identifier] = record
+        origin.cache[record.identifier] = found
 
     # -- consistency ------------------------------------------------------------
 
@@ -390,10 +389,11 @@ class Hierarchy:
 
 def _resolved(found: tuple[Optional[RegistrationRecord],
                            Optional[ForwardingInfo]],
-              hops: list[ContentName]) -> ResolutionResult:
+              hops: list[ContentName], message: str = "") -> ResolutionResult:
     record, forwarding = found
     return ResolutionResult(ResolutionOutcome.RESOLVED, tuple(hops),
-                            record=record, forwarding=forwarding)
+                            record=record, forwarding=forwarding,
+                            message=message)
 
 
 def _registration_tx(request: RegistrationRequest, domain: Domain

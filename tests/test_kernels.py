@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
-from minet.hpt import Hpt, pack_fib, pack_queries
+from minet.hpt import EntryState, Hpt, pack_fib, pack_queries
 from minet.hpt import kernels
+from minet.names import ContentName, ForwardingInfo
 from minet.workload import WorkloadSpec, generate_workload
 
 
@@ -19,67 +16,92 @@ def _build(mode, seed):
     return fib, wl.queries
 
 
-def _assert_matches_dict(fib, queries, lpm_fn, lin_fn):
-    packed = pack_fib(fib)
+def _assert_matches_dict(fib, queries, packed=None):
+    """Both kernels against their dict routes; returns the kernel outputs."""
+    packed = packed if packed is not None else pack_fib(fib)
     fps, lens = pack_queries(packed, queries)
-    hit, node, mlen, probes = lpm_fn(fps, lens, packed.table_fp,
-                                     packed.table_node, np.uint64(packed.mask),
-                                     packed.state, packed.parent)
-    lhit, lnode, lmlen, lprobes = lin_fn(fps, lens, packed.table_fp,
-                                         packed.table_node,
-                                         np.uint64(packed.mask), packed.state)
-    for i, q in enumerate(queries):
-        want = fib.lookup_lpm(q)
-        assert bool(hit[i]) == want.hit
-        assert int(probes[i]) == want.probes
-        if want.hit:
-            assert int(mlen[i]) == len(want.matched_prefix)
-            assert int(packed.face[node[i]]) == want.forwarding.face_id
-        ref = fib.lookup_oracle(q)
-        assert bool(lhit[i]) == ref.hit
-        assert int(lprobes[i]) == ref.probes
-        if ref.hit:
-            assert int(lmlen[i]) == len(ref.matched_prefix)
-            assert int(packed.face[lnode[i]]) == ref.forwarding.face_id
+    args = (fps, lens, packed.table_fp, packed.table_node,
+            np.uint64(packed.mask), packed.state)
+    outs = (kernels.lpm_batch(*args, packed.parent),
+            kernels.linear_batch(*args))
+    for (hit, node, mlen, probes), route in zip(
+            outs, (fib.lookup_lpm, fib.lookup_oracle)):
+        assert hit.shape == node.shape == mlen.shape == probes.shape == (
+            len(queries),)
+        for i, q in enumerate(queries):
+            want = route(q)
+            assert bool(hit[i]) == want.hit
+            assert int(probes[i]) == want.probes
+            if want.hit:
+                assert int(mlen[i]) == len(want.matched_prefix)
+                assert int(packed.face[node[i]]) == want.forwarding.face_id
+            else:
+                assert (int(node[i]), int(mlen[i])) == (-1, 0)
+    return outs
+
+
+def _ragged(queries):
+    """Lengths 1..12, so the binary searches end at different steps."""
+    return [ContentName((q.components + tuple(f"t{j}" for j in range(6)))
+                        [:1 + i % 12])
+            for i, q in enumerate(queries)]
 
 
 def test_selected_backend_matches_dict_routes():
-    for mode, seed in [("miss", 1), ("hit", 2), ("mixed", 3)]:
+    for mode, seed in [("miss", 1), ("hit", 2), ("mixed", 3), ("mixed", 4)]:
         fib, queries = _build(mode, seed)
-        _assert_matches_dict(fib, queries, kernels.lpm_batch,
-                             kernels.linear_batch)
-
-
-def test_pure_python_path_matches_dict_routes():
-    fib, queries = _build("mixed", 4)
-    _assert_matches_dict(fib, queries, kernels.lpm_batch_py,
-                         kernels.linear_batch_py)
+        _assert_matches_dict(fib, queries)
+    _assert_matches_dict(fib, [])
+    (*_, probes), _ = _assert_matches_dict(fib, _ragged(queries))
+    assert len(set(probes.tolist())) >= 3
 
 
 def test_backtracking_visible_to_kernel():
-    from minet.names import ContentName, ForwardingInfo
     fib = Hpt()
     fib.insert(ContentName.parse("/a/b/c"), ForwardingInfo(1))
+    fib.insert(ContentName.parse("/a/p/q/r"), ForwardingInfo(2))
     fib.insert(ContentName.parse("/a"), ForwardingInfo(7))
+    # /a/p and /a/p/q are semi-virtual: the walk climbs two levels.
+    assert fib.index["/a/p/q"].state == EntryState.SEMI_VIRTUAL
+    queries = [ContentName.parse(t) for t in
+               ("/a/b/x", "/a/p/q/x", "/a", "/z", "/a/p/q/r/s")]
+    (hit, node, mlen, probes), _ = _assert_matches_dict(fib, queries)
     packed = pack_fib(fib)
-    q = [ContentName.parse("/a/b/x")]
-    fps, lens = pack_queries(packed, q)
-    hit, node, mlen, probes = kernels.lpm_batch(
-        fps, lens, packed.table_fp, packed.table_node,
-        np.uint64(packed.mask), packed.state, packed.parent)
-    assert hit[0] == 1 and int(mlen[0]) == 1 and int(probes[0]) == 2
-    assert int(packed.face[node[0]]) == 7
+    assert hit.tolist() == [1, 1, 1, 0, 1]
+    assert mlen.tolist() == [1, 1, 1, 0, 4]
+    assert probes.tolist() == [2, 3, 1, 1, 3]
+    assert packed.face[node[:3]].tolist() == [7, 7, 7]
 
 
-def test_warmup_runs():
-    kernels.warmup()
+def test_probe_chain_wraps_from_last_slot_to_first():
+    # 8 slots.  Node 0 (/a, fingerprint 7) sits in slot 7; its child
+    # node 1 (fingerprint 15) also hashes to slot 7 and wraps to slot 0.
+    # Fingerprints 23 and 31 hash to slot 7 and miss at empty slot 1.
+    table_fp = np.zeros(8, dtype=np.uint64)
+    table_node = np.full(8, -1, dtype=np.int32)
+    table_fp[7], table_node[7] = 7, 0
+    table_fp[0], table_node[0] = 15, 1
+    state = np.array([EntryState.REAL, EntryState.REAL], dtype=np.uint8)
+    parent = np.array([-1, 0], dtype=np.int32)
+    fps = np.array([[7, 15], [7, 23], [31, 0]], dtype=np.uint64)
+    lens = np.array([2, 2, 1], dtype=np.int32)
+    args = (fps, lens, table_fp, table_node, np.uint64(7), state)
+    for out, probes in ((kernels.lpm_batch(*args, parent), [2, 2, 1]),
+                        (kernels.linear_batch(*args), [1, 2, 1])):
+        assert [a.tolist() for a in out] == [
+            [1, 1, 0], [1, 0, -1], [2, 1, 0], probes]
 
 
-def test_env_flag_selects_python_backend():
-    env = dict(os.environ, MINET_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from minet.hpt import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "python"
-    assert kernels.BACKEND in ("numba", "python")
+def test_unseen_components_leave_vocab_unchanged():
+    fib, _ = _build("hit", 5)
+    packed = pack_fib(fib)
+    vocab = len(packed.vocab)
+    stored = [ContentName.parse(t) for t in list(fib.index)[:300]]
+    queries = []
+    for i, name in enumerate(stored):
+        comps = name.components
+        queries += [ContentName(comps + (f"end{i}",)),
+                    ContentName(comps[:1] + (f"mid{i}",) + comps[1:]),
+                    ContentName((f"top{i}",) + comps)]
+    _assert_matches_dict(fib, queries, packed)
+    assert len(packed.vocab) == vocab

@@ -176,6 +176,10 @@ def test_cache_is_pass_through():
     assert second.outcome is ResolutionOutcome.RESOLVED
     assert len(second.hops) == 1
     assert second.message == "served from cache"
+    # apart from the walk, the cached answer is the uncached one
+    assert first.forwarding is not None
+    assert dataclasses.replace(second, hops=first.hops,
+                               message=first.message) == first
     # the querying domain's own table stays untouched
     assert not hier.domain("/top/us").fib.lookup_lpm(
         ContentName.parse("/top/cn/gd/video/v1")).hit
