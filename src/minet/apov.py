@@ -15,9 +15,11 @@ hashes stand in for signatures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as hmac_mod
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -52,6 +54,7 @@ def node_pubkey(node_id: int) -> bytes:
     return hashlib.sha256(b"node-pub:" + struct.pack(">q", node_id)).digest()
 
 
+@functools.lru_cache(maxsize=1024)
 def _node_secret(node_id: int) -> bytes:
     return hashlib.sha256(b"node-key:" + struct.pack(">q", node_id)).digest()
 
@@ -375,16 +378,18 @@ def tally_and_seal(leader: int, votes: Sequence[VoteMessage],
     for m in votes:
         if {v.block_hash for v in m.votes} != expected or len(m.votes) != len(blocks):
             raise IncompleteVotes(f"voter {m.voter} did not cover every block")
-    tally = []
-    for h in hashes:
-        yes = sum(1 for m in votes for v in m.votes
-                  if v.block_hash == h and v.approve)
-        tally.append((h, yes, config.n_c - yes))
+    approvals = _count_approvals(votes)
+    tally = [(h, approvals[h], config.n_c - approvals[h]) for h in hashes]
     rng = np.random.default_rng(np.random.PCG64(seed))
     next_leader = int(eligible[int(rng.integers(0, len(eligible)))])
     ordered = tuple(sorted(votes, key=lambda m: m.voter))
     return BlockGroupHeader(height, leader, seed, next_leader,
                             tuple(tally), ordered)
+
+
+def _count_approvals(messages: Iterable[VoteMessage]) -> Counter:
+    """Approving votes per block hash, in one pass over every vote."""
+    return Counter(v.block_hash for m in messages for v in m.votes if v.approve)
 
 
 def assemble_group(header: BlockGroupHeader,
@@ -416,10 +421,9 @@ def validate_block_group(group: BlockGroup, config: ConsensusConfig,
             if not verify_vote_signature(v.voter, v.block_hash, v.approve,
                                          v.signature):
                 problems.append(f"bad signature from voter {v.voter}")
+    approvals = _count_approvals(header.vote_messages)
     for h, yes, no in header.tally:
-        counted = sum(1 for m in header.vote_messages for v in m.votes
-                      if v.block_hash == h and v.approve)
-        if counted != yes or yes + no != config.n_c:
+        if approvals[h] != yes or yes + no != config.n_c:
             problems.append("tally does not match vote messages")
             break
     body_hashes = [block_digest(b) for b in group.body]
@@ -480,11 +484,36 @@ class Chain:
     def append(self, group: BlockGroup, config: ConsensusConfig) -> None:
         if group.header.height != self.height + 1:
             raise ChainError(f"height {group.header.height}, expected {self.height + 1}")
-        problems = validate_block_group(group, config, self.tip_digest)
+        problems, digest = _checked_group(group, config, self.tip_digest)
         if problems:
             raise ChainError("; ".join(problems))
         self.groups.append(group)
-        self.digests.append(group_digest(group))
+        self.digests.append(digest)
+
+
+# The last group `Chain.append` checked:
+# (header, body digests, prev digest, config, problems, group digest).
+# Every node appends a round's sealed group before the next round starts,
+# so one entry lets the nodes holding the same group share one validation.
+# The header is held by reference, so no other header can take its
+# identity while it is the key.
+_last_check: Optional[tuple] = None
+
+
+def _checked_group(group: BlockGroup, config: ConsensusConfig,
+                   prev_group_hash: bytes) -> tuple[tuple[str, ...], Optional[bytes]]:
+    """`validate_block_group` and, for a valid group, `group_digest`,
+    computed once for the same sealed header, body, chain tip and config."""
+    global _last_check
+    body = tuple(block_digest(b) for b in group.body)
+    last = _last_check
+    if (last is not None and last[0] is group.header and last[1] == body
+            and last[2] == prev_group_hash and last[3] == config):
+        return last[4], last[5]
+    problems = tuple(validate_block_group(group, config, prev_group_hash))
+    digest = None if problems else group_digest(group)
+    _last_check = (group.header, body, prev_group_hash, config, problems, digest)
+    return problems, digest
 
 
 def append_block_group(path, group: BlockGroup) -> None:

@@ -179,6 +179,45 @@ def test_serialization_round_trip():
     assert group_digest(again) == group_digest(group)
 
 
+def test_tally_matches_brute_force_count():
+    chain = Chain()
+    header, blocks, votes = _round(chain, corrupt_block=2, dissent=(0,))
+    brute = [(block_digest(b),
+              sum(1 for m in votes for v in m.votes
+                  if v.block_hash == block_digest(b) and v.approve))
+             for b in blocks]
+    assert [(h, yes) for h, yes, _ in header.tally] == brute
+    assert [yes for _, yes in brute] == [2, 2, 1, 2]
+    assert all(yes + no == CFG.n_c for _, yes, no in header.tally)
+    group = assemble_group(header, blocks)
+    assert validate_block_group(group, CFG, chain.tip_digest) == []
+
+
+def test_shared_validation_refuses_what_direct_validation_refuses():
+    header, blocks, _ = _round(Chain(), dissent=(0,))
+    good = assemble_group(header, blocks)
+    b0 = good.body[0]
+    tampered_block = Block(b0.prev_group_hash, b0.merkle, b0.bookkeeper_key,
+                           b0.timestamp, (Transaction(999999),) + b0.txs[1:])
+    wider = ConsensusConfig(n_b=4, n_c=4, n_bc=2, max_txs=100)
+    cases = [
+        (Chain(), BlockGroup(header, (tampered_block,) + good.body[1:]), CFG),
+        (Chain(), BlockGroup(header, good.body[1:]), CFG),
+        (Chain(first_leader=1), good, CFG),      # a different previous digest
+        (Chain(), good, wider),
+    ]
+    for chain, group, cfg in cases:
+        honest = Chain()
+        honest.append(good, CFG)
+        assert honest.tip_digest == group_digest(good)
+        expected = validate_block_group(group, cfg, chain.tip_digest)
+        assert expected
+        with pytest.raises(ChainError) as err:
+            chain.append(group, cfg)
+        assert str(err.value) == "; ".join(expected)
+        assert chain.height == 0
+
+
 def test_tampering_detected():
     chain = Chain()
     header, blocks, _ = _round(chain)

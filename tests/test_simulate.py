@@ -2,7 +2,7 @@
 
 import pytest
 
-from minet import perfmodel
+from minet import apov, perfmodel
 from minet.simulate import (
     ConfigInvalid,
     FaultSpec,
@@ -19,7 +19,7 @@ def _small(n=4, rounds=3, k=25, **kw):
 
 
 def test_zero_compute_matches_structural_transmission_exactly():
-    for n in (3, 5, 8):
+    for n in (3, 5, 8, 16, 32, 64, 128):
         cfg = SimConfig(node_count=n, rounds=1, txs_per_block=100,
                         compute_model="zero")
         m = run_rounds(cfg).rounds[0]
@@ -30,6 +30,23 @@ def test_zero_compute_matches_structural_transmission_exactly():
         assert m.t3 == e3
         assert m.t4 == 0.0
         assert m.t_cons == m.t1 + m.t2 + m.t3 + m.t4
+
+
+def test_each_sealed_group_is_validated_once_per_round(monkeypatch):
+    checked = 0
+    verify = apov.verify_vote_signature
+
+    def counting(*args):
+        nonlocal checked
+        checked += 1
+        return verify(*args)
+
+    monkeypatch.setattr(apov, "verify_vote_signature", counting)
+    n = 8
+    res = run_rounds(_small(n=n, rounds=2, k=10))
+    assert res.summary.rounds_completed == 2
+    n_b, n_c = n, n - 1
+    assert checked == 2 * n_c * n_b
 
 
 def test_step_additivity_and_fault_free_invariants():
