@@ -61,6 +61,7 @@ class LookupReport:
     route: str                    # kernel/<backend> or dict
     build_wall_s: float
     pack_wall_s: float
+    query_pack_wall_s: float      # pack_queries, summed over query lengths
     rows: tuple[LookupRow, ...]
     note: str = SCALING_NOTE
 
@@ -92,6 +93,7 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
         pack_wall = time.perf_counter() - t0
 
     rows = []
+    query_pack_wall = 0.0
     route_label = "dict" if route == "dict" else f"kernel/{kernels.BACKEND}"
     for n in query_lens:
         if n == spec.query_len:
@@ -106,14 +108,16 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
         if route == "dict":
             row = _dict_row(hpt, queries, mode, mean_entry_len, n)
         else:
-            row = _kernel_row(packed, queries, mode, mean_entry_len, n)
+            t0 = time.perf_counter()
+            fps, lens = pack_queries(packed, queries)
+            query_pack_wall += time.perf_counter() - t0
+            row = _kernel_row(packed, fps, lens, mode, mean_entry_len, n)
         rows.append(row)
     return LookupReport(entry_count, query_count, route_label,
-                        build_wall, pack_wall, tuple(rows))
+                        build_wall, pack_wall, query_pack_wall, tuple(rows))
 
 
-def _kernel_row(packed, queries, mode, m, n) -> LookupRow:
-    fps, lens = pack_queries(packed, queries)
+def _kernel_row(packed, fps, lens, mode, m, n) -> LookupRow:
     t0 = time.perf_counter()
     *_, bin_probes = kernels.lpm_batch(
         fps, lens, packed.table_fp, packed.table_node,

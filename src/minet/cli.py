@@ -257,6 +257,7 @@ def _cmd_fib_bench(ns, out: Path) -> int:
         "mean_entry_len": ns.mean_entry_len,
         "build_wall_s": report.build_wall_s,
         "pack_wall_s": report.pack_wall_s,
+        "query_pack_wall_s": report.query_pack_wall_s,
         "seed": ns.seed,
     }
     if ns.build_scaling:

@@ -1,17 +1,21 @@
 """Array snapshot of an Hpt for the batch lookup kernels.
 
 Names are fingerprinted by rolling a 64-bit FNV-1a over per-component
-vocabulary ids; the open-addressing table maps fingerprints to node ids.
-A fingerprint collision between two distinct names is detected at build
-time and resolved by rebuilding with a new salt, so the kernels see an
-injective mapping.  The vocabulary is fixed at build time: ids start at
-1, and query packing maps every component the table never saw to the
-reserved id 0, which no table key contains.
+vocabulary ids, one numpy step per name column; the open-addressing
+table maps fingerprints to node ids.  The build rejects any salt under
+which two table keys share a fingerprint and rebuilds with the next, so
+the table itself is injective.  Query prefixes are not checked against
+it: a query prefix that is no table key but whose fingerprint equals one
+is reported as a hit on that key's node.  The vocabulary is fixed at
+build time: ids start at 1, and query packing maps every component the
+table never saw to the reserved id 0, which no table key contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, count as counter, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -19,8 +23,8 @@ from minet.names import ContentName
 from minet.hpt.fib import Hpt
 
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = (1 << 64) - 1
+_FNV_PRIME = np.uint64(0x100000001B3)
+_SALTS = 16
 
 
 class FingerprintCollision(Exception):
@@ -40,80 +44,110 @@ class PackedFib:
     salt: int = 0
 
 
-def _fp_prefixes(cids, salt: int) -> list[int]:
-    """Fingerprints of every prefix of a component-id chain, shortest first."""
-    h = _FNV_OFFSET ^ salt
-    out = []
-    for cid in cids:
-        h = ((h ^ cid) * _FNV_PRIME) & _MASK64
-        out.append(h)
-    return out
+def _fnv_step(h: np.ndarray, cids: np.ndarray) -> np.ndarray:
+    """One FNV-1a step: fold one column of component ids into `h`.
+
+    Both are uint64, so the product wraps modulo 2**64 as FNV intends.
+    """
+    return (h ^ cids) * _FNV_PRIME
+
+
+def _seed(salt: int) -> np.uint64:
+    """Fingerprint of the empty name under `salt`."""
+    return np.uint64(_FNV_OFFSET ^ salt)
 
 
 def pack_fib(hpt: Hpt) -> PackedFib:
-    count = len(hpt.index)
+    """Array snapshot of `hpt`; node ids follow the order of `hpt.index`."""
+    nodes = list(hpt.index.values())
+    count = len(nodes)
+    node_ids = dict(zip(map(id, nodes), range(count)))
+    node_ids[id(hpt.root)] = -1
+    parent = np.fromiter(
+        map(node_ids.__getitem__, map(id, map(attrgetter("parent"), nodes))),
+        dtype=np.int32, count=count)
+    del node_ids    # freed before the vocabulary grows, to lower peak memory
+    state = np.fromiter(map(attrgetter("state"), nodes), dtype=np.uint8,
+                        count=count)
+    face = np.fromiter(
+        (-1 if f is None else f.face_id
+         for f in map(attrgetter("forwarding"), nodes)),
+        dtype=np.int32, count=count)
+    depth = np.fromiter(map(str.count, hpt.index, repeat("/")),
+                        dtype=np.int32, count=count)
+    comps = list(map(attrgetter("component"), nodes))
+    vocab = dict(zip(dict.fromkeys(comps), counter(1)))
+    cids = np.fromiter(map(vocab.__getitem__, comps), dtype=np.uint64,
+                       count=count)
+
+    # Node ids grouped by depth, so each level reads finished parents.
+    order = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[order],
+                             np.arange(1, int(depth.max(initial=0)) + 2))
+    levels = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     size = 1
     while size < max(8, 2 * count):
         size *= 2
-    for salt in range(16):
-        try:
-            return _build(hpt, count, size, salt)
-        except FingerprintCollision:
-            continue
+    for salt in range(_SALTS):
+        # The extra last slot holds the empty name, so parent -1 reads it.
+        fp = np.empty(count + 1, dtype=np.uint64)
+        fp[-1] = _seed(salt)
+        for nids in levels:
+            fp[nids] = _fnv_step(fp[parent[nids]], cids[nids])
+        fp = fp[:-1]
+        ordered = np.sort(fp)
+        if not (ordered[1:] == ordered[:-1]).any():
+            table_fp, table_node = _table(fp, size)
+            return PackedFib(table_fp, table_node, size - 1, state, parent,
+                             face, depth, vocab, salt)
     raise FingerprintCollision("no collision-free salt found")
 
 
-def _build(hpt: Hpt, count: int, size: int, salt: int) -> PackedFib:
-    vocab: dict[str, int] = {}
+def _table(fp: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open-addressing table of distinct fingerprints, linear probing.
+
+    All keys still unplaced advance together, one slot per round.  Where
+    several claim the same empty slot the write that lands keeps it and
+    the rest move on, so no empty slot ever lies between a key's home
+    slot and its position, which is what the kernels' probing assumes.
+    """
     mask = size - 1
     table_fp = np.zeros(size, dtype=np.uint64)
     table_node = np.full(size, -1, dtype=np.int32)
-    state = np.empty(count, dtype=np.uint8)
-    parent = np.full(count, -1, dtype=np.int32)
-    face = np.full(count, -1, dtype=np.int32)
-    depth = np.empty(count, dtype=np.int32)
-
-    node_ids: dict[int, int] = {}
-    items = list(hpt.index.items())
-    for nid, (text, node) in enumerate(items):
-        node_ids[id(node)] = nid
-    for nid, (text, node) in enumerate(items):
-        comps = text.split("/")[1:]
-        cids = [vocab.setdefault(comp, len(vocab) + 1) for comp in comps]
-        fp = _fp_prefixes(cids, salt)[-1]
-        slot = fp & mask
-        while table_node[slot] != -1:
-            if int(table_fp[slot]) == fp:
-                raise FingerprintCollision(text)
-            slot = (slot + 1) & mask
-        table_fp[slot] = fp
-        table_node[slot] = nid
-        state[nid] = int(node.state)
-        depth[nid] = len(comps)
-        if node.forwarding is not None:
-            face[nid] = node.forwarding.face_id
-        if node.parent is not None and node.parent is not hpt.root:
-            parent[nid] = node_ids[id(node.parent)]
-    return PackedFib(table_fp, table_node, mask, state, parent, face,
-                     depth, vocab, salt)
+    rows = np.arange(fp.size, dtype=np.int32)
+    slot = (fp & np.uint64(mask)).astype(np.intp)
+    while rows.size:
+        free = table_node[slot] == -1
+        table_node[slot[free]] = rows[free]
+        placed = table_node[slot] == rows
+        table_fp[slot[placed]] = fp[rows[placed]]
+        rows = rows[~placed]
+        slot = (slot[~placed] + 1) & mask
+    return table_fp, table_node
 
 
 def pack_queries(packed: PackedFib, queries: list[ContentName]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Prefix-fingerprint matrix and length vector for a query batch.
 
-    Components unseen at pack time get the reserved id 0, which no table
-    key contains; the vocabulary is only read.
+    Row i holds the fingerprints of query i's prefixes, shortest first,
+    and zeros past its length.  Components unseen at pack time get the
+    reserved id 0, which no table key contains; the vocabulary is only
+    read.
     """
-    q = len(queries)
-    max_len = max((len(name) for name in queries), default=1)
-    fps = np.zeros((q, max_len), dtype=np.uint64)
-    lens = np.empty(q, dtype=np.int32)
-    get = packed.vocab.get
-    salt = packed.salt
-    for i, name in enumerate(queries):
-        chain = _fp_prefixes([get(comp, 0) for comp in name.components],
-                             salt)
-        lens[i] = len(chain)
-        fps[i, :len(chain)] = chain
+    comps = [name.components for name in queries]
+    q = len(comps)
+    lens = np.fromiter(map(len, comps), dtype=np.int32, count=q)
+    max_len = int(lens.max(initial=1))
+    inside = np.arange(max_len) < lens[:, None]
+    cids = np.zeros((q, max_len), dtype=np.uint64)
+    cids[inside] = np.fromiter(
+        map(packed.vocab.get, chain.from_iterable(comps), repeat(0)),
+        dtype=np.uint64, count=int(lens.sum()))
+    fps = np.empty((q, max_len), dtype=np.uint64)
+    h = np.full(q, _seed(packed.salt), dtype=np.uint64)
+    for col in range(max_len):
+        h = _fnv_step(h, cids[:, col])
+        fps[:, col] = h
+    fps[~inside] = 0
     return fps, lens

@@ -92,6 +92,16 @@ def test_make_block_enforces_cap():
         make_block(0, _txs(0, CFG.max_txs + 1), GENESIS_HASH, 0, CFG)
 
 
+def test_make_block_with_duplicate_ids_is_refused():
+    policy = default_validity(GENESIS_HASH, CFG)
+    twice = make_block(0, _txs(0, 3) + _txs(1, 1), GENESIS_HASH,
+                       timestamp=1, config=CFG)
+    assert twice.merkle == merkle_root([0, 1, 2, 1])
+    assert not policy(twice)
+    assert policy(make_block(0, _txs(0, 3), GENESIS_HASH, timestamp=1,
+                             config=CFG))
+
+
 def test_full_round_seals_and_appends():
     chain = Chain(first_leader=1)
     header, blocks, _ = _round(chain)

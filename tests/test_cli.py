@@ -43,6 +43,7 @@ def test_fib_bench_report(tmp_path, capsys):
     assert float(rows[0]["binary_probes"]) < 4.0
     assert float(rows[0]["ratio_pct"]) > 150.0
     assert sidecar["entry_count"] == 2000
+    assert sidecar["query_pack_wall_s"] > 0.0
     assert "note" in sidecar and sidecar["csv"] == "fib_bench.csv"
     assert "N=6" in capsys.readouterr().out
 
@@ -55,7 +56,8 @@ def test_fib_bench_routes_agree_on_probes(tmp_path):
     assert run_command(args + ["--route", "dict",
                                "--out", str(tmp_path / "d")]) == 0
     kernel_rows, _ = read_report(tmp_path / "k", "fib_bench")
-    dict_rows, _ = read_report(tmp_path / "d", "fib_bench")
+    dict_rows, dict_sidecar = read_report(tmp_path / "d", "fib_bench")
+    assert dict_sidecar["query_pack_wall_s"] == 0.0
     assert kernel_rows[0]["linear_probes"] == dict_rows[0]["linear_probes"]
     assert kernel_rows[0]["binary_probes"] == dict_rows[0]["binary_probes"]
 

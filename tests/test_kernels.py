@@ -2,6 +2,7 @@ import numpy as np
 
 from minet.hpt import EntryState, Hpt, pack_fib, pack_queries
 from minet.hpt import kernels
+from minet.hpt import packed as packed_mod
 from minet.names import ContentName, ForwardingInfo
 from minet.workload import WorkloadSpec, generate_workload
 
@@ -45,6 +46,30 @@ def _ragged(queries):
     return [ContentName((q.components + tuple(f"t{j}" for j in range(6)))
                         [:1 + i % 12])
             for i, q in enumerate(queries)]
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
+def _ref_fingerprints(cids, salt):
+    """Scalar FNV-1a over a component-id chain: one per prefix."""
+    h = _FNV_OFFSET ^ salt
+    out = []
+    for cid in cids:
+        h = ((h ^ cid) * _FNV_PRIME) % (1 << 64)
+        out.append(h)
+    return out
+
+
+def _ref_probe(packed, fp):
+    """Node id under `fp` by scalar linear probing, -1 if absent."""
+    slot = fp & packed.mask
+    while packed.table_node[slot] != -1:
+        if int(packed.table_fp[slot]) == fp:
+            return int(packed.table_node[slot])
+        slot = (slot + 1) & packed.mask
+    return -1
 
 
 def test_selected_backend_matches_dict_routes():
@@ -105,3 +130,67 @@ def test_unseen_components_leave_vocab_unchanged():
                     ContentName((f"top{i}",) + comps)]
     _assert_matches_dict(fib, queries, packed)
     assert len(packed.vocab) == vocab
+
+
+def test_pack_queries_matches_scalar_reference():
+    fib, queries = _build("mixed", 3)
+    packed = pack_fib(fib)
+    ragged = [ContentName((q.components * 3)[:1 + i % 13])
+              for i, q in enumerate(queries)]
+    assert {len(q) for q in ragged} == set(range(1, 14))
+    batches = [[], ragged,
+               [ContentName((f"never{i}", f"seen{i}")) for i in range(50)],
+               [q.prefix(1) for q in queries[:200]]]
+    for batch in batches:
+        fps, lens = pack_queries(packed, batch)
+        width = max((len(q) for q in batch), default=1)
+        assert fps.dtype == np.uint64 and fps.shape == (len(batch), width)
+        assert lens.dtype == np.int32
+        assert lens.tolist() == [len(q) for q in batch]
+        for row, q in zip(fps.tolist(), batch):
+            cids = [packed.vocab.get(c, 0) for c in q.components]
+            ref = _ref_fingerprints(cids, packed.salt)
+            assert row == ref + [0] * (width - len(ref))
+
+
+def test_pack_fib_matches_per_node_reference():
+    fib, _ = _build("mixed", 4)
+    texts = list(fib.index)
+    # Hpt.insert indexes a new name before the fillers above it.
+    assert texts.index("/" + texts[0].split("/")[1]) > 0
+    packed = pack_fib(fib)
+    pos = {text: nid for nid, text in enumerate(texts)}
+    assert sorted(packed.vocab.values()) == list(
+        range(1, len(packed.vocab) + 1))
+    assert set(packed.vocab) == {c for t in texts for c in t.split("/")[1:]}
+    for nid, (text, node) in enumerate(fib.index.items()):
+        comps = text.split("/")[1:]
+        fp = _ref_fingerprints([packed.vocab[c] for c in comps],
+                               packed.salt)[-1]
+        assert _ref_probe(packed, fp) == nid
+        up = text.rsplit("/", 1)[0]
+        assert int(packed.parent[nid]) == (pos[up] if up else -1)
+        assert int(packed.state[nid]) == node.state
+        assert int(packed.depth[nid]) == len(comps)
+        assert int(packed.face[nid]) == (
+            -1 if node.forwarding is None else node.forwarding.face_id)
+    stored = packed.table_node[packed.table_node != -1]
+    assert sorted(stored.tolist()) == list(range(len(texts)))
+
+
+def test_fingerprint_collision_moves_to_a_later_salt(monkeypatch):
+    fib, queries = _build("mixed", 3)
+    step = packed_mod._fnv_step
+
+    def colliding(h, cids):
+        out = step(h, cids)
+        # Under salt 0, give the first two depth-1 names one fingerprint.
+        if np.all(h == packed_mod._seed(0)) and out.size > 1:
+            out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(packed_mod, "_fnv_step", colliding)
+    packed = pack_fib(fib)
+    assert packed.salt > 0
+    _assert_matches_dict(fib, queries, packed)
+    _assert_matches_dict(fib, _ragged(queries), packed)

@@ -49,6 +49,30 @@ def test_each_sealed_group_is_validated_once_per_round(monkeypatch):
     assert checked == 2 * n_c * n_b
 
 
+def test_each_block_merkle_root_is_computed_once_per_round(monkeypatch):
+    calls = 0
+    root = apov.merkle_root
+
+    def counting(ids):
+        nonlocal calls
+        calls += 1
+        return root(ids)
+
+    monkeypatch.setattr(apov, "merkle_root", counting)
+    n, rounds, k = 6, 3, 10
+    run_rounds(_small(n=n, rounds=rounds, k=k))
+    assert calls == rounds * n
+    calls = 0
+    res = run_rounds(inject_fault(_small(n=n, rounds=rounds, k=k),
+                                  FaultSpec(node=1, behavior="invalid_blocks")))
+    # The faulty bookkeeper's rebuilt block is checked in full, and
+    # refused, every round.
+    assert calls == rounds * (n + 1)
+    assert res.summary.rounds_completed == rounds
+    for m in res.rounds:
+        assert m.committed_txs == k * (n - 1)
+
+
 def test_step_additivity_and_fault_free_invariants():
     cfg = _small(n=5, rounds=4, k=30)
     res = run_rounds(cfg)
