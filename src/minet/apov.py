@@ -129,15 +129,14 @@ class ConsensusConfig:
     n_c: int                     # consortium (voting) nodes
     n_bc: int = 0                # nodes holding both roles
     max_txs: int = 10_000        # per-block transaction cap
-    term_length: int = 10        # rounds per bookkeeper term
 
     def __post_init__(self) -> None:
         if self.n_b < 1 or self.n_c < 1:
             raise ValueError("need at least one bookkeeper and one voter")
         if not 0 <= self.n_bc <= min(self.n_b, self.n_c):
             raise ValueError("n_bc must not exceed either role count")
-        if self.max_txs < 1 or self.term_length < 1:
-            raise ValueError("max_txs and term_length must be positive")
+        if self.max_txs < 1:
+            raise ValueError("max_txs must be positive")
 
     def majority(self, approvals: int) -> bool:
         return approvals * 2 > self.n_c

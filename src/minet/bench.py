@@ -10,8 +10,8 @@ Three drivers, all deterministic for a fixed seed:
   structural integrity checks at fixed intervals and a final sweep
   comparing the binary-search path, the linear oracle, and an
   independent reference map;
-* `measure_build` — wall time to populate a table, for size-scaling
-  checks.
+* `measure_build_scaling` — wall time to populate a table at two sizes,
+  for size-scaling checks.
 
 Results are plain dataclasses so the command-line layer can serialize
 them without knowing how they were produced.
@@ -27,9 +27,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import workload
 from .hpt import Hpt, kernels, pack_fib, pack_queries
 from .names import ContentName, ForwardingInfo
-from .workload import WorkloadSpec, generate_workload
+from .workload import WorkloadSpec
 
 SCALING_NOTE = ("desk-scale run: one process, synthetic names, in-memory "
                 "tables; probe counts and ratios are size-determined, "
@@ -62,8 +63,8 @@ class LookupReport:
     build_wall_s: float
     pack_wall_s: float
     query_pack_wall_s: float      # pack_queries, summed over query lengths
+    entry_len_mean: float         # realised mean stored-name length
     rows: tuple[LookupRow, ...]
-    note: str = SCALING_NOTE
 
 
 def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
@@ -77,11 +78,11 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
     spec = WorkloadSpec(entry_count=entry_count, query_count=query_count,
                         mean_entry_len=mean_entry_len,
                         query_len=query_lens[0], mode=mode, seed=seed)
-    workload = generate_workload(spec)
+    entries, lengths = workload.generate_entries(spec)
 
     t0 = time.perf_counter()
     hpt = Hpt()
-    for name, fwd in workload.entries:
+    for name, fwd in entries:
         hpt.insert(name, fwd)
     build_wall = time.perf_counter() - t0
 
@@ -96,15 +97,8 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
     query_pack_wall = 0.0
     route_label = "dict" if route == "dict" else f"kernel/{kernels.BACKEND}"
     for n in query_lens:
-        if n == spec.query_len:
-            queries = workload.queries
-        else:
-            again = generate_workload(dataclasses.replace(spec, query_len=n))
-            # same seed and entry parameters: the table must be unchanged
-            if not np.array_equal(again.entry_lengths,
-                                  workload.entry_lengths):
-                raise BenchError("entry stream changed across query lengths")
-            queries = again.queries
+        queries = workload.generate_queries(
+            dataclasses.replace(spec, query_len=n), entries)
         if route == "dict":
             row = _dict_row(hpt, queries, mode, mean_entry_len, n)
         else:
@@ -113,8 +107,9 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
             query_pack_wall += time.perf_counter() - t0
             row = _kernel_row(packed, fps, lens, mode, mean_entry_len, n)
         rows.append(row)
-    return LookupReport(entry_count, query_count, route_label,
-                        build_wall, pack_wall, query_pack_wall, tuple(rows))
+    return LookupReport(entry_count, query_count, route_label, build_wall,
+                        pack_wall, query_pack_wall, float(lengths.mean()),
+                        tuple(rows))
 
 
 def _kernel_row(packed, fps, lens, mode, m, n) -> LookupRow:
@@ -165,7 +160,6 @@ class DrillReport:
     mismatches: int
     final_entries: int
     wall_s: float
-    note: str = SCALING_NOTE
 
     @property
     def clean(self) -> bool:
@@ -251,24 +245,19 @@ def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
 class BuildTiming:
     entry_count: int
     build_wall_s: float
-    real_entries: int
-    note: str = SCALING_NOTE
 
 
 @dataclass(frozen=True)
 class BuildScalingReport:
     small: BuildTiming
     big: BuildTiming
-    small_walls: tuple[float, ...]
-    big_walls: tuple[float, ...]
-    note: str = SCALING_NOTE
 
     @property
     def ratio(self) -> float:
         return self.big.build_wall_s / self.small.build_wall_s
 
 
-def _timed_insert(entries) -> tuple[float, int]:
+def _timed_insert(entries) -> float:
     hpt = Hpt()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -280,18 +269,7 @@ def _timed_insert(entries) -> tuple[float, int]:
     finally:
         if gc_was_enabled:
             gc.enable()
-    return wall, hpt.real_count()
-
-
-def measure_build(entry_count: int, *, mean_entry_len: float = 4.0,
-                  seed: int = 7) -> BuildTiming:
-    """Time only the table population, not the workload synthesis."""
-    spec = WorkloadSpec(entry_count=entry_count, query_count=0,
-                        mean_entry_len=mean_entry_len, query_len=8,
-                        mode="miss", seed=seed)
-    workload = generate_workload(spec)
-    wall, real = _timed_insert(workload.entries)
-    return BuildTiming(entry_count, wall, real)
+    return wall
 
 
 def measure_build_scaling(small: int = 100_000, big: int = 1_000_000, *,
@@ -309,19 +287,14 @@ def measure_build_scaling(small: int = 100_000, big: int = 1_000_000, *,
         raise BenchError("need 0 < small < big")
     if repeats < 1:
         raise BenchError("repeats must be positive")
-    spec = WorkloadSpec(entry_count=big, query_count=0,
-                        mean_entry_len=mean_entry_len, query_len=8,
-                        mode="miss", seed=seed)
-    workload = generate_workload(spec)
-    _timed_insert(workload.entries)
+    entries, _ = workload.generate_entries(WorkloadSpec(
+        entry_count=big, query_count=0, mean_entry_len=mean_entry_len,
+        seed=seed))
+    _timed_insert(entries)
     small_walls, big_walls = [], []
-    small_real = big_real = 0
     for _ in range(repeats):
-        wall, small_real = _timed_insert(workload.entries[:small])
-        small_walls.append(wall)
-        wall, big_real = _timed_insert(workload.entries)
-        big_walls.append(wall)
+        small_walls.append(_timed_insert(entries[:small]))
+        big_walls.append(_timed_insert(entries))
     return BuildScalingReport(
-        BuildTiming(small, float(np.median(small_walls)), small_real),
-        BuildTiming(big, float(np.median(big_walls)), big_real),
-        tuple(small_walls), tuple(big_walls))
+        BuildTiming(small, float(np.median(small_walls))),
+        BuildTiming(big, float(np.median(big_walls))))

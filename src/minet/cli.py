@@ -189,21 +189,37 @@ def _apply_config(ns: argparse.Namespace) -> None:
 
 
 def _ints(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value)
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(p) for p in text.split(",") if p]
+    """A comma list or lo:hi[:step] of integers."""
+    try:
+        if isinstance(value, (list, tuple)):
+            return [int(v) for v in value]
+        text = str(value)
+        if ":" not in text:
+            return [int(p) for p in text.split(",") if p]
+        lo, hi, *step = (int(p) for p in text.split(":"))
+        if len(step) > 1:
+            raise ValueError("more than three range parts")
+        return list(range(lo, hi + 1, *step))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed integer list {value!r}: {exc}") from exc
 
 
 def _floats(value) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(p) for p in str(value).split(",") if p]
+    """A comma list of numbers."""
+    try:
+        if isinstance(value, (list, tuple)):
+            return [float(v) for v in value]
+        return [float(p) for p in str(value).split(",") if p]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed number list {value!r}: {exc}") from exc
+
+
+def _pair(value) -> tuple[int, int]:
+    """Exactly two integers, as SMALL:BIG."""
+    sizes = _ints(str(value).replace(":", ","))
+    if len(sizes) != 2:
+        raise ParseError(f"expected SMALL:BIG, got {value!r}")
+    return sizes[0], sizes[1]
 
 
 # -- report writing ----------------------------------------------------------
@@ -232,6 +248,7 @@ def _announce(csv_path: Path, json_path: Path) -> None:
 # -- handlers -----------------------------------------------------------------
 
 def _cmd_fib_bench(ns, out: Path) -> int:
+    scaling_sizes = _pair(ns.build_scaling) if ns.build_scaling else None
     report = bench.run_lookup_bench(
         mode=ns.mode, entry_count=ns.entries, query_count=ns.queries,
         mean_entry_len=ns.mean_entry_len, query_lens=tuple(_ints(ns.query_lens)),
@@ -255,13 +272,14 @@ def _cmd_fib_bench(ns, out: Path) -> int:
         "query_count": report.query_count,
         "mode": ns.mode,
         "mean_entry_len": ns.mean_entry_len,
+        "entry_len_mean": report.entry_len_mean,
         "build_wall_s": report.build_wall_s,
         "pack_wall_s": report.pack_wall_s,
         "query_pack_wall_s": report.query_pack_wall_s,
         "seed": ns.seed,
     }
-    if ns.build_scaling:
-        small, big = _ints(ns.build_scaling.replace(":", ","))
+    if scaling_sizes:
+        small, big = scaling_sizes
         scaling = bench.measure_build_scaling(small, big, seed=ns.seed)
         summary["build_scaling"] = {
             "small_entries": scaling.small.entry_count,

@@ -70,16 +70,6 @@ class FibNode:
         self.forwarding = forwarding
         self.bindings: Optional[list[Identifier]] = None
 
-    def name(self) -> ContentName:
-        """Reconstruct the full name by walking parent links."""
-        comps: list[str] = []
-        node: Optional[FibNode] = self
-        while node is not None and node.parent is not None:
-            comps.append(node.component)
-            node = node.parent
-        comps.reverse()
-        return ContentName(tuple(comps))
-
     def __repr__(self) -> str:  # debugging aid only
         return f"<FibNode {self.component!r} {self.state.name}>"
 

@@ -1,8 +1,18 @@
 """Synthetic name workloads for forwarding-table benchmarks.
 
-Stored-name lengths follow a geometric distribution truncated to [1, 10]
-with mean M.  Query lengths cycle a symmetric window so their empirical
-mean is exactly the requested value:
+Stored-name lengths are drawn from a geometric distribution truncated to
+[1, 10] with mean M.  A length L holds at most alphabet**L distinct
+names, so one explicit spill rule applies: ranked by drawn length, then
+by position in the stream, the names fill each length up to its
+capacity and the rest move on to the next length.  `entry_lengths`
+holds the realised lengths; `InfeasibleSpec` is raised only when names
+are left over after length 10.  Each length's names are drawn without
+replacement, so no name is ever redrawn.
+
+Entries come from the spec's seed alone, and queries from the spec and
+the entries, so one entry set serves every query length.  Query lengths
+cycle a symmetric window so their empirical mean is exactly the
+requested value:
 
 * miss mode: lengths N-w..N+w (w = min(2, N-1)), every component drawn
   from a pool disjoint from entry components, so no query shares any
@@ -16,13 +26,13 @@ mean is exactly the requested value:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from minet.names import ContentName, ForwardingInfo
 
 MAX_NAME_LEN = 10
+_INT64_KEYS = 2 ** 63
 
 
 class InfeasibleSpec(ValueError):
@@ -53,10 +63,13 @@ class WorkloadSpec:
             raise InfeasibleSpec("hit mode needs query_len >= mean_entry_len")
 
 
+Entries = list[tuple[ContentName, ForwardingInfo]]
+
+
 @dataclass
 class Workload:
     spec: WorkloadSpec
-    entries: list[tuple[ContentName, ForwardingInfo]]
+    entries: Entries
     queries: list[ContentName]
     entry_lengths: np.ndarray
 
@@ -85,19 +98,87 @@ def _truncated_geometric_pmf(mean: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _comp_formatter(prefix: str):
-    """Format component ids to strings, sharing one object per id."""
-    cache: dict[int, str] = {}
+def _names(ids: np.ndarray, lens: np.ndarray, prefix: str) -> list[tuple]:
+    """Split the flat component ids into tuples of `lens` strings, sharing
+    one string object per distinct id."""
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    strings = np.array([prefix + str(u) for u in uniq.tolist()], dtype=object)
+    flat = strings[inverse].tolist()
+    ends = np.cumsum(lens).tolist()
+    return [tuple(flat[e - n:e]) for e, n in zip(ends, lens.tolist())]
 
-    def fmt(c) -> str:
-        c = int(c)
-        s = cache.get(c)
-        if s is None:
-            s = prefix + str(c)
-            cache[c] = s
-        return s
 
-    return fmt
+def _spill(drawn: np.ndarray, alphabet: int) -> np.ndarray:
+    """Realised lengths under the spill rule (module docstring)."""
+    wanted = np.bincount(drawn, minlength=MAX_NAME_LEN + 1)[1:]
+    held: list[int] = []
+    carry = 0
+    for length, count in enumerate(wanted.tolist(), 1):
+        held.append(min(count + carry, alphabet ** length))
+        carry += count - held[-1]
+    if carry:
+        raise InfeasibleSpec(f"alphabet of {alphabet} holds only "
+                             f"{len(drawn) - carry} of {len(drawn)} names "
+                             f"up to length {MAX_NAME_LEN}")
+    out = np.empty(len(drawn), dtype=np.int64)
+    out[np.argsort(drawn, kind="stable")] = np.repeat(
+        np.arange(1, MAX_NAME_LEN + 1), held)
+    return out
+
+
+def _distinct_rows(rng: np.random.Generator, count: int, length: int,
+                   alphabet: int) -> np.ndarray:
+    """count distinct rows of `length` component ids below `alphabet`."""
+    if alphabet ** length < _INT64_KEYS:
+        keys = rng.choice(alphabet ** length, size=count, replace=False)
+        powers = alphabet ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        return keys[:, None] // powers % alphabet
+    rows = rng.integers(0, alphabet, size=(count, length))
+    if len(np.unique(rows, axis=0)) != count:
+        raise InfeasibleSpec(f"duplicate length-{length} names drawn; "
+                             f"the seed gives no distinct set")
+    return rows
+
+
+def generate_entries(spec: WorkloadSpec) -> tuple[Entries, np.ndarray]:
+    """The spec's distinct stored names with their faces, and their
+    realised lengths; depends on the seed and entry parameters only."""
+    rng = np.random.default_rng([spec.seed, 0])
+    cdf = np.cumsum(_truncated_geometric_pmf(spec.mean_entry_len))
+    drawn = np.minimum(np.searchsorted(cdf, rng.random(spec.entry_count)),
+                       MAX_NAME_LEN - 1) + 1
+    lengths = _spill(drawn, spec.alphabet)
+    starts = np.cumsum(lengths) - lengths
+    ids = np.empty(int(lengths.sum()), dtype=np.int64)
+    for length in range(1, MAX_NAME_LEN + 1):
+        at = np.flatnonzero(lengths == length)
+        if len(at):
+            ids[starts[at, None] + np.arange(length)] = _distinct_rows(
+                rng, len(at), length, spec.alphabet)
+    faces = rng.integers(0, 4096, size=spec.entry_count).tolist()
+    entries = [(ContentName(comps), ForwardingInfo(face_id=face))
+               for comps, face in zip(_names(ids, lengths, "e"), faces)]
+    return entries, lengths
+
+
+def generate_queries(spec: WorkloadSpec,
+                     entries: Entries) -> list[ContentName]:
+    """The spec's queries against these entries (from `generate_entries`)."""
+    rng = np.random.default_rng([spec.seed, 1])
+    if spec.mode == "miss":
+        return _miss_queries(spec, spec.query_count, rng)
+    if spec.mode == "hit":
+        return _hit_queries(spec, entries, spec.query_count, rng)
+    half = spec.query_count // 2
+    hits = _hit_queries(spec, entries, half, rng)
+    misses = _miss_queries(spec, spec.query_count - half, rng)
+    # alternate hit, miss, ...; the odd query out is a miss
+    return [q for pair in zip(hits, misses) for q in pair] + misses[half:]
+
+
+def generate_workload(spec: WorkloadSpec) -> Workload:
+    entries, lengths = generate_entries(spec)
+    return Workload(spec, entries, generate_queries(spec, entries), lengths)
 
 
 def _cycled(values: list[int], count: int, center: int,
@@ -111,84 +192,23 @@ def _cycled(values: list[int], count: int, center: int,
     return out[rng.permutation(count)]
 
 
-def generate_workload(spec: WorkloadSpec) -> Workload:
-    rng = np.random.default_rng(spec.seed)
-    capacity = sum(min(spec.alphabet, 10 ** 15) ** l
-                   for l in range(1, MAX_NAME_LEN + 1))
-    if capacity < spec.entry_count:
-        raise InfeasibleSpec("alphabet too small for unique entries")
-
-    pmf = _truncated_geometric_pmf(spec.mean_entry_len)
-    cdf = np.cumsum(pmf)
-    lengths = np.searchsorted(cdf, rng.random(spec.entry_count)) + 1
-
-    comps = rng.integers(0, spec.alphabet, size=(spec.entry_count, MAX_NAME_LEN))
-    fmt = _comp_formatter("e")
-    entries: list[tuple[ContentName, ForwardingInfo]] = []
-    taken: set[tuple[int, ...]] = set()
-    final_lengths = np.empty(spec.entry_count, dtype=np.int64)
-    for i in range(spec.entry_count):
-        length = int(lengths[i])
-        key = tuple(comps[i, :length])
-        tries = 0
-        while key in taken:
-            tries += 1
-            if tries % 50 == 0 and length < MAX_NAME_LEN:
-                length += 1
-            key = tuple(rng.integers(0, spec.alphabet, size=length))
-        taken.add(key)
-        final_lengths[i] = length
-        name = ContentName(tuple(map(fmt, key)))
-        entries.append((name, ForwardingInfo(face_id=int(rng.integers(0, 4096)))))
-
-    if spec.mode == "miss":
-        queries = _miss_queries(spec, spec.query_count, rng)
-    elif spec.mode == "hit":
-        queries = _hit_queries(spec, entries, final_lengths, spec.query_count, rng)
-    else:
-        half = spec.query_count // 2
-        hits = _hit_queries(spec, entries, final_lengths, half, rng)
-        misses = _miss_queries(spec, spec.query_count - half, rng)
-        queries = []
-        hi = mi = 0
-        for i in range(spec.query_count):
-            take_hit = (i % 2 == 0 and hi < len(hits)) or mi >= len(misses)
-            if take_hit:
-                queries.append(hits[hi])
-                hi += 1
-            else:
-                queries.append(misses[mi])
-                mi += 1
-    return Workload(spec, entries, queries, final_lengths)
-
-
 def _miss_queries(spec: WorkloadSpec, count: int,
                   rng: np.random.Generator) -> list[ContentName]:
-    if count == 0:
-        return []
     w = min(2, spec.query_len - 1)
     window = list(range(spec.query_len - w, spec.query_len + w + 1))
     lens = _cycled(window, count, spec.query_len, rng)
-    comps = rng.integers(0, spec.alphabet, size=(count, int(lens.max())))
-    fmt = _comp_formatter("q")
-    return [ContentName(tuple(map(fmt, comps[i, :lens[i]])))
-            for i in range(count)]
+    ids = rng.integers(0, spec.alphabet, size=int(lens.sum()))
+    return [ContentName(comps) for comps in _names(ids, lens, "q")]
 
 
-def _hit_queries(spec: WorkloadSpec, entries, entry_lengths: np.ndarray,
-                 count: int, rng: np.random.Generator) -> list[ContentName]:
+def _hit_queries(spec: WorkloadSpec, entries: Entries, count: int,
+                 rng: np.random.Generator) -> list[ContentName]:
     gap = spec.query_len - int(round(spec.mean_entry_len))
     w = max(0, min(2, gap))
     deltas = _cycled(list(range(-w, w + 1)), count, 0, rng)
-    picks = rng.integers(0, len(entries), size=count)
-    fmt = _comp_formatter("q")
-    out = []
-    for i in range(count):
-        base = entries[picks[i]][0]
-        suffix_len = gap + int(deltas[i])
-        if suffix_len <= 0:
-            out.append(base)
-            continue
-        suffix = rng.integers(0, spec.alphabet, size=suffix_len)
-        out.append(ContentName(base.components + tuple(map(fmt, suffix))))
-    return out
+    picks = rng.integers(0, len(entries), size=count).tolist()
+    suffix_lens = np.maximum(gap + deltas, 0)
+    ids = rng.integers(0, spec.alphabet, size=int(suffix_lens.sum()))
+    suffixes = _names(ids, suffix_lens, "q")
+    return [ContentName(entries[i][0].components + suffix) if suffix
+            else entries[i][0] for i, suffix in zip(picks, suffixes)]

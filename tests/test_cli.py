@@ -5,6 +5,7 @@ import pytest
 
 from minet import perfmodel
 from minet.cli import run_command
+from minet.workload import WorkloadSpec, generate_entries
 
 
 def read_report(out, stem):
@@ -25,6 +26,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path)]) == 2
     assert run_command(["model-eval", "--nodes", "2",
                         "--out", str(tmp_path)]) == 2
+    for argv in (["fib-bench", "--query-lens", "6,x"],
+                 ["fib-bench", "--query-lens", "6:9:1:2"],
+                 ["fib-bench", "--build-scaling", "1:2:3"],
+                 ["fib-bench", "--build-scaling", "abc"],
+                 ["model-sweep", "--nodes", "a:b"],
+                 ["model-sweep", "--speedups", "1,z"]):
+        assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
     capsys.readouterr()
 
 
@@ -43,6 +51,11 @@ def test_fib_bench_report(tmp_path, capsys):
     assert float(rows[0]["binary_probes"]) < 4.0
     assert float(rows[0]["ratio_pct"]) > 150.0
     assert sidecar["entry_count"] == 2000
+    _, lengths = generate_entries(WorkloadSpec(
+        entry_count=2000, query_count=600, mean_entry_len=4.0, query_len=6,
+        seed=7))
+    assert sidecar["entry_len_mean"] == float(lengths.mean())
+    assert sidecar["mean_entry_len"] == 4.0
     assert sidecar["query_pack_wall_s"] > 0.0
     assert "note" in sidecar and sidecar["csv"] == "fib_bench.csv"
     assert "N=6" in capsys.readouterr().out

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from minet.workload import InfeasibleSpec, WorkloadSpec, generate_workload
+from minet import workload
+from minet.workload import (InfeasibleSpec, WorkloadSpec, generate_entries,
+                            generate_workload)
 
 
 def test_deterministic_for_seed():
@@ -79,3 +83,50 @@ def test_alphabet_capacity_check():
     with pytest.raises(InfeasibleSpec):
         generate_workload(WorkloadSpec(entry_count=10_000, query_count=0,
                                        mean_entry_len=1.0, alphabet=2, seed=0))
+
+
+def _entry_spec(**kwargs):
+    return WorkloadSpec(**{**dict(entry_count=3000, query_count=0,
+                                  mean_entry_len=1.5, seed=6), **kwargs})
+
+
+def test_names_past_a_length_capacity_spill_to_the_next_length():
+    # the lengths are drawn before any name, so a wide alphabet shows the
+    # drawn lengths; an alphabet of 100 holds only 100 length-1 names
+    drawn = generate_entries(_entry_spec(alphabet=10 ** 6))[1]
+    entries, lengths = generate_entries(_entry_spec(alphabet=100))
+    assert (drawn == 1).sum() > 100
+    comps = [n.components for n, _ in entries]
+    assert len(set(comps)) == len(comps)
+    assert lengths.tolist() == [len(c) for c in comps]
+    assert (lengths == 1).sum() == 100
+    # the first 100 drawn at length 1 keep it; the rest join length 2
+    assert np.array_equal(np.flatnonzero(lengths == 1),
+                          np.flatnonzero(drawn == 1)[:100])
+    assert (lengths == 2).sum() == (drawn <= 2).sum() - 100
+    assert np.array_equal(lengths[drawn >= 3], drawn[drawn >= 3])
+
+
+def test_one_string_object_per_component_id():
+    entries, _ = generate_entries(_entry_spec(alphabet=50))
+    comps = [c for n, _ in entries for c in n.components]
+    assert len({id(c) for c in comps}) == len(set(comps))
+
+
+def test_wide_alphabet_costs_memory_by_entries_not_by_alphabet():
+    tracemalloc.start()
+    try:
+        generate_entries(_entry_spec(alphabet=10 ** 12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_duplicate_random_rows_raise_instead_of_retrying(monkeypatch):
+    # force the random-row route, used where alphabet**L overflows int64,
+    # onto lengths whose every possible name is needed
+    monkeypatch.setattr(workload, "_INT64_KEYS", 1)
+    with pytest.raises(InfeasibleSpec, match="duplicate"):
+        generate_entries(_entry_spec(entry_count=50, mean_entry_len=1.0,
+                                     alphabet=3))
