@@ -215,10 +215,11 @@ def _floats(value) -> list[float]:
 
 
 def _pair(value) -> tuple[int, int]:
-    """Exactly two integers, as SMALL:BIG."""
+    """Exactly two integers, as SMALL:BIG with 0 < SMALL < BIG."""
     sizes = _ints(str(value).replace(":", ","))
-    if len(sizes) != 2:
-        raise ParseError(f"expected SMALL:BIG, got {value!r}")
+    if len(sizes) != 2 or not 0 < sizes[0] < sizes[1]:
+        raise ParseError(f"expected SMALL:BIG with 0 < SMALL < BIG, "
+                         f"got {value!r}")
     return sizes[0], sizes[1]
 
 

@@ -141,11 +141,6 @@ class Identifier:
         return self.text
 
 
-def parse_identifier(text: str) -> Identifier:
-    """Parse any scheme-prefixed identifier text."""
-    return Identifier.parse(text)
-
-
 @dataclass(frozen=True)
 class ForwardingInfo:
     """Next-hop choice attached to a real forwarding entry."""

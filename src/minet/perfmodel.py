@@ -24,7 +24,7 @@ form is what the scaling/throughput curves compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -292,14 +292,8 @@ def transmission_coefficient_report(
     ns = np.array([2.0, 3.0, 4.0, 5.0])
     mb = []
     for n in ns:
-        p = ModelParams(node_count=int(n), msg_bytes=proto.msg_bytes,
-                        block_header_bytes=proto.block_header_bytes,
-                        tx_bytes=proto.tx_bytes, txs_per_block=proto.txs_per_block,
-                        vote_header_bytes=proto.vote_header_bytes,
-                        vote_per_block_bytes=proto.vote_per_block_bytes,
-                        result_header_bytes=proto.result_header_bytes,
-                        result_per_block_bytes=proto.result_per_block_bytes,
-                        band=proto.band)
+        p = replace(proto, node_count=int(n), bookkeepers=None, voters=None,
+                    dual_role=None)
         mb.append(transmission_total(p) * p.band / MEGABYTE)
     vander = np.vander(ns, 4)
     coeffs = np.linalg.solve(vander, np.array(mb))

@@ -16,12 +16,18 @@ as payload-bearing Interests on CCN segments, one acknowledgment flight
 per segment in the reverse direction (stop-and-wait), since the
 underlying fabric offers no reliability of its own.
 
+A connection fixes its route at connect: for each direction, the next
+node of every hop and, on CCN segments, the Interest name it carries.
+A gateway missing from the registry raises UnknownMir there, not at the
+first flight.
+
 Everything runs in-process over a simulated chain; a node marked down
 surfaces as a Timeout and the connection folds back to Closed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import struct
@@ -63,6 +69,12 @@ class InvalidState(TunnelError):
     pass
 
 
+@functools.lru_cache(maxsize=1024)
+def _ipv4(text: str) -> int:
+    """The integer of dotted IPv4 text; malformed text raises ValueError."""
+    return int(ipaddress.IPv4Address(text))
+
+
 def flag_names(flags: int) -> str:
     names = [n for bit, n in _FLAG_NAMES if flags & bit]
     return "+".join(names) if names else "DATA"
@@ -87,15 +99,13 @@ class SignalingHeader:
         for p in (self.src_port, self.dst_port):
             if not 0 <= p < 2**16:
                 raise ValueError("port out of range")
-        ipaddress.IPv4Address(self.src_ip)
-        ipaddress.IPv4Address(self.dst_ip)
+        _ipv4(self.src_ip)
+        _ipv4(self.dst_ip)
 
     def encode(self) -> bytes:
         return _SIGNAL_STRUCT.pack(
-            self.flags, self.seq, self.ack,
-            int(ipaddress.IPv4Address(self.src_ip)),
-            int(ipaddress.IPv4Address(self.dst_ip)),
-            self.src_port, self.dst_port)
+            self.flags, self.seq, self.ack, _ipv4(self.src_ip),
+            _ipv4(self.dst_ip), self.src_port, self.dst_port)
 
     @staticmethod
     def decode(data: bytes) -> "SignalingHeader":
@@ -112,7 +122,7 @@ class MirName:
     ip: str
 
     def __post_init__(self) -> None:
-        ipaddress.IPv4Address(self.ip)
+        _ipv4(self.ip)
 
 
 class MirRegistry:
@@ -143,9 +153,6 @@ class MirRegistry:
             return self._by_ip[ip]
         except KeyError:
             raise UnknownMir(f"no gateway at {ip}") from None
-
-    def __contains__(self, mir: MirName) -> bool:
-        return self._by_prefix.get(mir.ccn_prefix) == mir
 
 
 @dataclass(frozen=True)
@@ -211,21 +218,6 @@ def read_interest_log(path) -> list[InterestPacket]:
     return out
 
 
-def encapsulate_signal(seg: SignalingHeader, target: MirName,
-                       conn_id: str, registry: MirRegistry,
-                       payload: Optional[bytes] = None) -> InterestPacket:
-    """Wrap one signaling header into an Interest aimed at `target`."""
-    if target not in registry:
-        raise UnknownMir(f"gateway {target.ccn_prefix} not registered")
-    return InterestPacket(target.ccn_prefix.child(conn_id), seg, payload)
-
-
-def decapsulate_signal(pkt: InterestPacket) -> SignalingHeader:
-    if pkt.signaling is None:
-        raise ValueError("interest carries no signaling header")
-    return pkt.signaling
-
-
 # -- chain topology ---------------------------------------------------------------
 
 class TunnelMode(Enum):
@@ -282,23 +274,23 @@ class TransferReport:
 
 def build_chain(mode: TunnelMode,
                 registry: Optional[MirRegistry] = None
-                ) -> tuple[list[ChainNode], tuple[str, ...], MirRegistry]:
+                ) -> tuple[list[ChainNode], MirRegistry]:
     """Endpoints at the ends, one gateway per segment boundary."""
     registry = registry if registry is not None else MirRegistry()
-    kinds = mode.segments
+    segments = mode.segments
     nodes = [ChainNode("A", "endpoint", "10.0.0.1")]
-    for i in range(len(kinds) - 1):
+    for i in range(len(segments) - 1):
         ip = f"10.0.1.{i + 1}"
         prefix = ContentName.parse(f"/mir{i + 1}")
         registry.register(MirName(prefix, ip))
         nodes.append(ChainNode(f"mir{i + 1}", "mir", ip, prefix))
     nodes.append(ChainNode("B", "endpoint", "10.0.0.2"))
     # endpoints on a CCN segment are named nodes themselves
-    if kinds[0] == "ccn":
+    if segments[0] == "ccn":
         nodes[0].prefix = ContentName.parse("/host/a")
-    if kinds[-1] == "ccn":
+    if segments[-1] == "ccn":
         nodes[-1].prefix = ContentName.parse("/host/b")
-    return nodes, kinds, registry
+    return nodes, registry
 
 
 class TunnelConnection:
@@ -306,16 +298,13 @@ class TunnelConnection:
 
     def __init__(self, mode: TunnelMode,
                  nodes: Optional[list[ChainNode]] = None,
-                 kinds: Optional[tuple[str, ...]] = None,
                  registry: Optional[MirRegistry] = None,
                  src_port: int = 40001, dst_port: int = 80,
                  segment_size: int = SEGMENT_SIZE):
         if nodes is None:
-            nodes, kinds, registry = build_chain(mode)
+            nodes, registry = build_chain(mode)
         self.mode = mode
         self.nodes = nodes
-        self.kinds = kinds
-        self.registry = registry
         self.src_port = src_port
         self.dst_port = dst_port
         self.segment_size = segment_size
@@ -327,6 +316,24 @@ class TunnelConnection:
         self.interest_log: list[InterestPacket] = []
         four_tuple = (f"{nodes[0].ip}:{src_port}->{nodes[-1].ip}:{dst_port}")
         self.conn_id = hashlib.sha256(four_tuple.encode()).hexdigest()[:12]
+        segments = mode.segments
+        self._routes = {
+            True: self._route(nodes[1:], segments, registry),
+            False: self._route(nodes[-2::-1], segments[::-1], registry)}
+
+    def _route(self, path: list[ChainNode], segments: tuple[str, ...],
+               registry: MirRegistry
+               ) -> list[tuple[ChainNode, Optional[ContentName]]]:
+        """(next node, Interest name or None) for each hop along `path`."""
+        route = []
+        for nxt, segment in zip(path, segments, strict=True):
+            name = None
+            if segment == "ccn":
+                if nxt.kind == "mir":
+                    registry.by_prefix(nxt.prefix)
+                name = nxt.prefix.child(self.conn_id)
+            route.append((nxt, name))
+        return route
 
     # -- flights -----------------------------------------------------------
 
@@ -344,25 +351,13 @@ class TunnelConnection:
         seq = self.seq_fwd if forward else self.seq_rev
         ack = self.seq_rev if forward else self.seq_fwd
         header = self._header(flags, forward, seq, ack)
-        hops = (list(range(len(self.nodes))) if forward
-                else list(range(len(self.nodes) - 1, -1, -1)))
-        kinds = self.kinds if forward else tuple(reversed(self.kinds))
         interests = 0
-        for i in range(len(hops) - 1):
-            nxt = self.nodes[hops[i + 1]]
+        for nxt, name in self._routes[forward]:
             if nxt.down:
                 self.state = TunnelState.CLOSED
                 raise Timeout(f"node {nxt.label} is unreachable")
-            if kinds[i] == "ccn":
-                if nxt.kind == "mir":
-                    target = self.registry.by_prefix(nxt.prefix)
-                    pkt = encapsulate_signal(header, target, self.conn_id,
-                                             self.registry, payload)
-                else:
-                    pkt = InterestPacket(nxt.prefix.child(self.conn_id),
-                                         header, payload)
-                assert decapsulate_signal(pkt) == header
-                self.interest_log.append(pkt)
+            if name is not None:
+                self.interest_log.append(InterestPacket(name, header, payload))
                 interests += 1
         self.interests_sent += interests
         if payload is not None:
@@ -424,12 +419,11 @@ def run_scenario(mode: TunnelMode, payload: bytes,
                  down_nodes: Iterable[str] = (),
                  segment_size: int = SEGMENT_SIZE) -> TransferReport:
     """Establish, transfer, terminate; report fidelity and packet counts."""
-    nodes, kinds, registry = build_chain(mode)
+    nodes, registry = build_chain(mode)
     for node in nodes:
         if node.label in down_nodes:
             node.down = True
-    conn = TunnelConnection(mode, nodes, kinds, registry,
-                            segment_size=segment_size)
+    conn = TunnelConnection(mode, nodes, registry, segment_size=segment_size)
     est = conn.establish()
     segments = conn.send(payload)
     fin = conn.terminate()

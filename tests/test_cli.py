@@ -34,6 +34,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-sweep", "--speedups", "1,z"]):
         assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
     capsys.readouterr()
+    # sizes out of order are a usage error before any bench runs
+    assert run_command(["fib-bench", "--entries", "2000", "--queries", "200",
+                        "--build-scaling", "5000:500",
+                        "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_help_exits_0(capsys):

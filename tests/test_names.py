@@ -9,7 +9,6 @@ from minet.names import (
     IdKind,
     Identifier,
     ParseError,
-    parse_identifier,
 )
 
 
@@ -40,22 +39,22 @@ def test_content_name_rejects(bad):
 
 
 def test_identifier_parse_variants():
-    cid = parse_identifier("content:/a/b")
+    cid = Identifier.parse("content:/a/b")
     assert cid.kind is IdKind.CONTENT and cid.value == ContentName.parse("/a/b")
-    iid = parse_identifier("id:alice")
+    iid = Identifier.parse("id:alice")
     assert iid.kind is IdKind.IDENTITY and iid.value == "alice"
-    gid = parse_identifier("geo:cn.gd.sz")
+    gid = Identifier.parse("geo:cn.gd.sz")
     assert gid.kind is IdKind.GEO
-    ip4 = parse_identifier("ip:10.0.0.1")
+    ip4 = Identifier.parse("ip:10.0.0.1")
     assert ip4.value == ipaddress.ip_address("10.0.0.1")
-    ip6 = parse_identifier("ip:2001:db8::1")
+    ip6 = Identifier.parse("ip:2001:db8::1")
     assert ip6.value == ipaddress.ip_address("2001:db8::1")
 
 
 @pytest.mark.parametrize("bad", ["foo:/a", "alice", "ip:999.0.0.1", "id:", "content:a"])
 def test_identifier_rejects(bad):
     with pytest.raises(ParseError):
-        parse_identifier(bad)
+        Identifier.parse(bad)
 
 
 @given(st.lists(st.text(alphabet=st.characters(blacklist_characters="/",
@@ -72,13 +71,13 @@ def test_content_name_round_trip(comps):
                min_size=1, max_size=12))
 def test_identifier_round_trip(scheme, body):
     text = f"{scheme}:{body}"
-    parsed = parse_identifier(text)
-    assert parse_identifier(parsed.text) == parsed
+    parsed = Identifier.parse(text)
+    assert Identifier.parse(parsed.text) == parsed
 
 
 def test_identifier_hashable_and_str():
     a = Identifier.ip("10.0.0.1")
-    b = parse_identifier("ip:10.0.0.1")
+    b = Identifier.parse("ip:10.0.0.1")
     assert a == b and hash(a) == hash(b)
     assert str(a) == "ip:10.0.0.1"
     assert str(Identifier.content("/x/y")) == "content:/x/y"

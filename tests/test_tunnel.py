@@ -23,8 +23,6 @@ from minet.tunnel import (
     TunnelState,
     UnknownMir,
     build_chain,
-    decapsulate_signal,
-    encapsulate_signal,
     flag_names,
     read_interest_log,
     run_scenario,
@@ -93,19 +91,14 @@ def test_mir_registry_bijection():
         reg.by_ip("10.9.9.9")
 
 
-def test_encapsulate_decapsulate_inverse():
-    reg = MirRegistry()
-    mir = MirName(ContentName.parse("/mir2"), "10.0.1.2")
-    reg.register(mir)
-    seg = SignalingHeader(FLAG_SYN, 5, 0, "10.0.0.1", "10.0.0.2", 40001, 80)
-    pkt = encapsulate_signal(seg, mir, "cafe01", reg)
-    assert pkt.name.text == "/mir2/cafe01"
-    assert decapsulate_signal(pkt) == seg
-    with pytest.raises(UnknownMir):
-        encapsulate_signal(seg, MirName(ContentName.parse("/ghost"),
-                                        "10.0.9.9"), "cafe01", reg)
-    with pytest.raises(ValueError):
-        decapsulate_signal(InterestPacket(ContentName.parse("/x")))
+def test_route_is_fixed_at_connect():
+    for mode in MODES:
+        nodes, _ = build_chain(mode)
+        with pytest.raises(UnknownMir):
+            TunnelConnection(mode, nodes, MirRegistry())
+    conn = TunnelConnection(TunnelMode.CCN_IP)
+    conn.establish()
+    assert conn.interest_log[0].name.text == f"/mir1/{conn.conn_id}"
 
 
 @given(headers, st.one_of(st.none(), st.binary(max_size=300)))
@@ -205,9 +198,9 @@ def test_large_transfer_16mib():
 
 
 def test_down_node_times_out_and_closes():
-    nodes, kinds, registry = build_chain(TunnelMode.IP_CCN_IP)
+    nodes, registry = build_chain(TunnelMode.IP_CCN_IP)
     nodes[2].down = True      # the far gateway
-    conn = TunnelConnection(TunnelMode.IP_CCN_IP, nodes, kinds, registry)
+    conn = TunnelConnection(TunnelMode.IP_CCN_IP, nodes, registry)
     with pytest.raises(Timeout):
         conn.establish()
     assert conn.state is TunnelState.CLOSED
@@ -219,9 +212,8 @@ def test_down_node_times_out_and_closes():
 @given(st.sampled_from(MODES), st.binary(max_size=20000),
        st.integers(100, 5000))
 def test_fidelity_property(mode, payload, seg_size):
-    nodes, kinds, registry = build_chain(mode)
-    conn = TunnelConnection(mode, nodes, kinds, registry,
-                            segment_size=seg_size)
+    nodes, registry = build_chain(mode)
+    conn = TunnelConnection(mode, nodes, registry, segment_size=seg_size)
     conn.establish()
     conn.send(payload)
     conn.terminate()
@@ -238,3 +230,17 @@ def test_deterministic_interest_logs():
         conn.terminate()
     assert a.interest_log == b.interest_log
     assert a.conn_id == b.conn_id
+
+
+def test_interest_bytes_are_pinned():
+    # every mode's establish/send/terminate, hashed over the wire bytes
+    digest = hashlib.sha256()
+    for mode in MODES:
+        conn = TunnelConnection(mode)
+        conn.establish()
+        conn.send(b"q" * 9000)
+        conn.terminate()
+        for pkt in conn.interest_log:
+            digest.update(pkt.encode())
+    assert digest.hexdigest() == (
+        "28d21721b2065763cb1b137b18bba05a54ef21f83f2a4350b9219ba25cd01de7")
