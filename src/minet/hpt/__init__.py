@@ -2,7 +2,6 @@
 
 from minet.hpt.fib import (
     EntryState,
-    FibNode,
     Hpt,
     LookupResult,
     FibError,
@@ -15,7 +14,6 @@ from minet.hpt.packed import PackedFib, pack_fib, pack_queries
 
 __all__ = [
     "EntryState",
-    "FibNode",
     "Hpt",
     "LookupResult",
     "FibError",

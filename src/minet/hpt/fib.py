@@ -10,14 +10,25 @@ Entries carry one of three states:
 * semi-virtual: filler with at least one real ancestor; a lookup that
   lands here backtracks parent links to the nearest real ancestor
   without further hash probes.
+
+The table is stored as columns.  `index` maps a prefix's text to its
+node id, and a node id is a position in every column: `state` (a
+bytearray of EntryState values), `parent` (an int32 array, -1 at depth
+1), `forwarding` (None unless real) and `component` (the last component
+of the prefix).  `children` holds a list only for ids that have
+children, under -1 for the depth-1 names, and `bindings` a list only for
+bound ids.  `delete` puts the ids it frees on the `free` list, with no
+component or forwarding, and new entries take ids from there first, so
+the columns do not grow across churn.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from minet.names import ContentName, ForwardingInfo, Identifier, IdKind
 
@@ -48,30 +59,8 @@ class EntryState(IntEnum):
     SEMI_VIRTUAL = 2
 
 
-_STATE_TOKEN = {
-    EntryState.REAL: "real",
-    EntryState.VIRTUAL: "virtual",
-    EntryState.SEMI_VIRTUAL: "semi-virtual",
-}
-_TOKEN_STATE = {v: k for k, v in _STATE_TOKEN.items()}
-
-
-class FibNode:
-    __slots__ = ("component", "state", "parent", "children", "forwarding", "bindings")
-
-    def __init__(self, component: str, state: EntryState,
-                 forwarding: Optional[ForwardingInfo] = None):
-        self.component = component
-        self.state = state
-        self.parent: Optional[FibNode] = None
-        # both lists stay None until first use: most nodes are leaves
-        # without bindings, and a million empty lists is real memory
-        self.children: Optional[list[FibNode]] = None
-        self.forwarding = forwarding
-        self.bindings: Optional[list[Identifier]] = None
-
-    def __repr__(self) -> str:  # debugging aid only
-        return f"<FibNode {self.component!r} {self.state.name}>"
+_STATE_TOKEN = ("real", "virtual", "semi-virtual")   # indexed by state
+_TOKEN_STATE = {token: EntryState(i) for i, token in enumerate(_STATE_TOKEN)}
 
 
 @dataclass(frozen=True)
@@ -82,13 +71,32 @@ class LookupResult:
     probes: int
 
 
+_REAL, _VIRTUAL, _SEMI_VIRTUAL = map(int, EntryState)
+
+
+def _ends(components: tuple[str, ...]) -> list[int]:
+    """Where each prefix of ``/c1/.../cN`` ends in its text, shortest
+    first, so a prefix is a slice of the text rather than a new join."""
+    ends = []
+    pos = 0
+    for comp in components:
+        pos += 1 + len(comp)
+        ends.append(pos)
+    return ends
+
+
 class Hpt:
     """The forwarding table: hash index + prefix tree + identifier bindings."""
 
     def __init__(self) -> None:
-        # The root is a sentinel: never indexed, state is meaningless.
-        self.root = FibNode("", EntryState.VIRTUAL)
-        self.index: dict[str, FibNode] = {}
+        self.index: dict[str, int] = {}
+        self.state = bytearray()
+        self.parent = array("i")
+        self.forwarding: list[Optional[ForwardingInfo]] = []
+        self.component: list[Optional[str]] = []
+        self.children: dict[int, list[int]] = {}
+        self.bindings: dict[int, list[Identifier]] = {}
+        self.free: list[int] = []
         self.alt_index: dict[Identifier, ContentName] = {}
 
     # -- size helpers -------------------------------------------------
@@ -97,107 +105,107 @@ class Hpt:
         return len(self.index)
 
     def real_count(self) -> int:
-        return sum(1 for n in self.index.values() if n.state == EntryState.REAL)
+        return len(self.forwarding) - self.forwarding.count(None)
 
     # -- mutation ------------------------------------------------------
 
     def insert(self, name: ContentName, forwarding: ForwardingInfo) -> None:
         """Insert or update a real entry, keeping the prefix chain indexed."""
-        texts = name.prefix_texts()
-        node = self.index.get(texts[-1])
-        if node is not None:
-            if node.state == EntryState.REAL:
-                node.forwarding = forwarding
+        text = name.text
+        nid = self.index.get(text)
+        if nid is not None:
+            self.forwarding[nid] = forwarding
+            if self.state[nid] == _REAL:
                 return
             # A filler becomes real: every virtual entry below now has a
-            # real ancestor.
-            node.state = EntryState.REAL
-            node.forwarding = forwarding
-            self._promote_virtual_subtree(node)
+            # real ancestor.  Virtual regions are contiguous (nothing
+            # virtual sits below a non-virtual entry), so the walk stops
+            # at non-virtual children.
+            self.state[nid] = _REAL
+            stack = [nid]
+            while stack:
+                for child in self.children.get(stack.pop(), ()):
+                    if self.state[child] == _VIRTUAL:
+                        self.state[child] = _SEMI_VIRTUAL
+                        stack.append(child)
             return
+        comps = name.components
+        ends = _ends(comps)
+        # Find the deepest indexed prefix; every prefix below it is new.
+        depth = len(comps) - 1
+        parent = -1
+        while depth:
+            found = self.index.get(text[:ends[depth - 1]])
+            if found is not None:
+                parent = found
+                break
+            depth -= 1
+        filler = (_VIRTUAL if parent == -1 or self.state[parent] == _VIRTUAL
+                  else _SEMI_VIRTUAL)
+        for d in range(depth, len(comps) - 1):
+            parent = self._add(text[:ends[d]], comps[d], filler, parent, None)
+        self._add(text, comps[-1], _REAL, parent, forwarding)
 
-        n = len(texts)
-        child = FibNode(name.components[-1], EntryState.REAL, forwarding)
-        self.index[texts[-1]] = child
-        created = [child]
-        for i in range(n - 1, 0, -1):
-            node = self.index.get(texts[i - 1])
-            if node is not None:
-                self._attach(node, child)
-                inter = (EntryState.VIRTUAL if node.state == EntryState.VIRTUAL
-                         else EntryState.SEMI_VIRTUAL)
-                for filler in created[1:]:
-                    filler.state = inter
-                return
-            filler = FibNode(name.components[i - 1], EntryState.VIRTUAL)
-            self.index[texts[i - 1]] = filler
-            self._attach(filler, child)
-            child = filler
-            created.append(filler)
-        self._attach(self.root, child)
-        for filler in created[1:]:
-            filler.state = EntryState.VIRTUAL
+    def _add(self, text: str, component: str, state: int, parent: int,
+             forwarding: Optional[ForwardingInfo]) -> int:
+        """Index a new entry under `parent`, reusing a free id if any."""
+        if self.free:
+            nid = self.free.pop()
+            self.state[nid] = state
+            self.parent[nid] = parent
+            self.forwarding[nid] = forwarding
+            self.component[nid] = component
+        else:
+            nid = len(self.state)
+            self.state.append(state)
+            self.parent.append(parent)
+            self.forwarding.append(forwarding)
+            self.component.append(component)
+        self.index[text] = nid
+        self.children.setdefault(parent, []).append(nid)
+        return nid
 
     def delete(self, name: ContentName) -> None:
         """Remove a real entry; fillers demote or unlink as needed."""
-        texts = name.prefix_texts()
-        node = self.index.get(texts[-1])
-        if node is None or node.state != EntryState.REAL:
+        text = name.text
+        nid = self.index.get(text)
+        if nid is None or self.state[nid] != _REAL:
             return
-        if node.children:
-            node.forwarding = None
-            self._drop_bindings(node)
-            parent = node.parent
-            if parent is not self.root and parent.state in (
-                    EntryState.REAL, EntryState.SEMI_VIRTUAL):
-                node.state = EntryState.SEMI_VIRTUAL
+        self.forwarding[nid] = None
+        for alt in self.bindings.pop(nid, ()):
+            self.alt_index.pop(alt, None)
+        if nid in self.children:
+            parent = self.parent[nid]
+            if parent != -1 and self.state[parent] != _VIRTUAL:
+                self.state[nid] = _SEMI_VIRTUAL
                 return
             # No real ancestor remains: this filler region loses its only
             # real prefix, so demote it (and dependent semi-virtual
             # descendants) back to virtual.  Real descendants shield their
             # own subtrees.
-            queue = deque([node])
+            queue = deque([nid])
             while queue:
                 cur = queue.popleft()
-                cur.state = EntryState.VIRTUAL
-                for ch in cur.children or ():
-                    if ch.state == EntryState.SEMI_VIRTUAL:
-                        queue.append(ch)
+                self.state[cur] = _VIRTUAL
+                for child in self.children.get(cur, ()):
+                    if self.state[child] == _SEMI_VIRTUAL:
+                        queue.append(child)
             return
-        # Leaf: unlink it, then prune non-real ancestors that became leaves.
-        self._drop_bindings(node)
-        node.parent.children.remove(node)
-        del self.index[texts[-1]]
-        for i in range(len(texts) - 1, 0, -1):
-            anc = self.index[texts[i - 1]]
-            if anc.state != EntryState.REAL and not anc.children:
-                anc.parent.children.remove(anc)
-                del self.index[texts[i - 1]]
-            else:
+        # Leaf: free it, then free non-real ancestors that became leaves.
+        ends = _ends(name.components)
+        while True:
+            parent = self.parent[nid]
+            del self.index[text[:ends.pop()]]
+            siblings = self.children[parent]
+            siblings.remove(nid)
+            if not siblings:
+                del self.children[parent]
+            self.component[nid] = None
+            self.free.append(nid)
+            if (parent == -1 or self.state[parent] == _REAL
+                    or parent in self.children):
                 return
-
-    def _attach(self, parent: FibNode, child: FibNode) -> None:
-        if parent.children is None:
-            parent.children = [child]
-        else:
-            parent.children.append(child)
-        child.parent = parent
-
-    def _promote_virtual_subtree(self, node: FibNode) -> None:
-        # Virtual regions are contiguous: nothing virtual sits below a
-        # non-virtual entry, so pruning at non-virtual children is safe.
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for ch in cur.children or ():
-                if ch.state == EntryState.VIRTUAL:
-                    ch.state = EntryState.SEMI_VIRTUAL
-                    stack.append(ch)
-
-    def _drop_bindings(self, node: FibNode) -> None:
-        for alt in node.bindings or ():
-            self.alt_index.pop(alt, None)
-        node.bindings = None
+            nid = parent
 
     # -- lookup ----------------------------------------------------------
 
@@ -207,53 +215,45 @@ class Hpt:
         On an inconsistent table (semi-virtual entry without a real
         ancestor) this degrades to a miss rather than raising.
         """
-        comps = name.components
         text = name.text
-        # Component boundaries let each probe slice the canonical text
-        # instead of re-joining components.
-        ends = []
-        pos = 0
-        for comp in comps:
-            pos += 1 + len(comp)
-            ends.append(pos)
-        lo, hi = 1, len(comps)
-        last: Optional[FibNode] = None
+        ends = _ends(name.components)
+        lo, hi = 1, len(ends)
+        last = -1
         last_len = 0
         probes = 0
         index = self.index
         while lo <= hi:
             mid = (lo + hi) // 2
             probes += 1
-            node = index.get(text[:ends[mid - 1]])
-            if node is not None:
-                last = node
-                last_len = mid
+            nid = index.get(text[:ends[mid - 1]])
+            if nid is not None:
+                last, last_len = nid, mid
                 lo = mid + 1
             else:
                 hi = mid - 1
-        if last is None or last.state == EntryState.VIRTUAL:
-            return LookupResult(False, None, None, probes)
-        if last.state == EntryState.REAL:
-            return LookupResult(True, name.prefix(last_len), last.forwarding, probes)
-        # Semi-virtual: walk parent links to the nearest real ancestor.
-        cur = last.parent
-        depth = last_len - 1
-        while cur is not None and cur is not self.root:
-            if cur.state == EntryState.REAL:
-                return LookupResult(True, name.prefix(depth), cur.forwarding, probes)
-            cur = cur.parent
-            depth -= 1
+        state = self.state
+        if last != -1 and state[last] != _VIRTUAL:
+            # A real terminal matches; a semi-virtual one walks parent
+            # links to the nearest real ancestor.
+            while last != -1 and state[last] != _REAL:
+                last = self.parent[last]
+                last_len -= 1
+            if last != -1:
+                return LookupResult(True, name.prefix(last_len),
+                                    self.forwarding[last], probes)
         return LookupResult(False, None, None, probes)
 
     def lookup_oracle(self, name: ContentName) -> LookupResult:
         """Reference route: scan prefixes longest-first for a real entry."""
-        texts = name.prefix_texts()
+        text = name.text
+        ends = _ends(name.components)
         probes = 0
-        for i in range(len(texts), 0, -1):
+        for k in range(len(ends), 0, -1):
             probes += 1
-            node = self.index.get(texts[i - 1])
-            if node is not None and node.state == EntryState.REAL:
-                return LookupResult(True, name.prefix(i), node.forwarding, probes)
+            nid = self.index.get(text[:ends[k - 1]])
+            if nid is not None and self.state[nid] == _REAL:
+                return LookupResult(True, name.prefix(k),
+                                    self.forwarding[nid], probes)
         return LookupResult(False, None, None, probes)
 
     # -- identifier bindings ----------------------------------------------
@@ -261,15 +261,12 @@ class Hpt:
     def bind_identifier(self, content: ContentName, alt: Identifier) -> None:
         if alt.kind is IdKind.CONTENT:
             raise ValueError("content identifiers resolve directly; nothing to bind")
-        node = self.index.get(content.text)
-        if node is None or node.state != EntryState.REAL:
+        nid = self.index.get(content.text)
+        if nid is None or self.state[nid] != _REAL:
             raise UnknownContent(content.text)
         if alt in self.alt_index:
             raise DuplicateBinding(alt.text)
-        if node.bindings is None:
-            node.bindings = [alt]
-        else:
-            node.bindings.append(alt)
+        self.bindings.setdefault(nid, []).append(alt)
         self.alt_index[alt] = content
 
     def translate(self, alt: Identifier) -> ContentName:
@@ -285,50 +282,52 @@ class Hpt:
     def verify_integrity(self) -> list[str]:
         """Return every invariant violation found (empty when healthy)."""
         problems: list[str] = []
-        seen: dict[str, FibNode] = {}
-        stack: list[tuple[FibNode, str, bool]] = [(self.root, "", False)]
+        seen: set[str] = set()
+        stack: list[tuple[int, str, bool]] = [(-1, "", False)]
         while stack:
             parent, ptext, real_above = stack.pop()
-            for node in parent.children or ():
-                text = ptext + "/" + node.component
+            for nid in self.children.get(parent, ()):
+                text = f"{ptext}/{self.component[nid]}"
                 if text in seen:
                     problems.append(f"{text}: duplicated in tree")
                     continue
-                seen[text] = node
-                if self.index.get(text) is not node:
+                seen.add(text)
+                if self.index.get(text) != nid:
                     problems.append(f"{text}: tree node missing from index")
-                if node.parent is not parent:
+                if self.parent[nid] != parent:
                     problems.append(f"{text}: broken parent link")
-                if node.state == EntryState.REAL:
-                    if node.forwarding is None:
+                state = self.state[nid]
+                if state == _REAL:
+                    if self.forwarding[nid] is None:
                         problems.append(f"{text}: real entry without forwarding")
                 else:
-                    if node.forwarding is not None:
+                    if self.forwarding[nid] is not None:
                         problems.append(f"{text}: non-real entry carries forwarding")
-                    if not node.children:
+                    if nid not in self.children:
                         problems.append(f"{text}: non-real leaf")
-                    if node.state == EntryState.VIRTUAL and real_above:
+                    if state == _VIRTUAL and real_above:
                         problems.append(f"{text}: virtual below a real entry")
-                    if node.state == EntryState.SEMI_VIRTUAL and not real_above:
+                    if state == _SEMI_VIRTUAL and not real_above:
                         problems.append(f"{text}: semi-virtual without real ancestor")
-                    if node.bindings:
+                    if nid in self.bindings:
                         problems.append(f"{text}: bindings on non-real entry")
-                stack.append((node, text, real_above or node.state == EntryState.REAL))
+                stack.append((nid, text, real_above or state == _REAL))
         for text in self.index:
             if text not in seen:
                 problems.append(f"{text}: indexed but unreachable from tree")
-        for text in self.index:
             head = text.rsplit("/", 1)[0]
             if head and head not in self.index:
                 problems.append(f"{text}: prefix chain broken at {head}")
+        if len(self.index) + len(self.free) != len(self.state):
+            problems.append("some ids are neither indexed nor free")
         for alt, cname in self.alt_index.items():
-            node = self.index.get(cname.text)
-            if node is None or node.state != EntryState.REAL:
+            nid = self.index.get(cname.text)
+            if nid is None or self.state[nid] != _REAL:
                 problems.append(f"{alt.text}: bound to missing/non-real {cname.text}")
-            elif alt not in (node.bindings or ()):
+            elif alt not in self.bindings.get(nid, ()):
                 problems.append(f"{alt.text}: reverse map not mirrored on {cname.text}")
-        for text, node in self.index.items():
-            for alt in node.bindings or ():
+        for text, nid in self.index.items():
+            for alt in self.bindings.get(nid, ()):
                 if self.alt_index.get(alt) is None or self.alt_index[alt].text != text:
                     problems.append(f"{text}: binding {alt.text} not in reverse map")
         return problems
@@ -339,10 +338,11 @@ class Hpt:
         """One line per entry: name, state, face or '-', binding list."""
         lines = []
         for text in sorted(self.index):
-            node = self.index[text]
-            face = str(node.forwarding.face_id) if node.forwarding else "-"
-            binds = ",".join(alt.text for alt in node.bindings or ())
-            lines.append(f"{text}\t{_STATE_TOKEN[node.state]}\t{face}\t{binds}")
+            nid = self.index[text]
+            fwd = self.forwarding[nid]
+            face = str(fwd.face_id) if fwd else "-"
+            binds = ",".join(alt.text for alt in self.bindings.get(nid, ()))
+            lines.append(f"{text}\t{_STATE_TOKEN[self.state[nid]]}\t{face}\t{binds}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -376,12 +376,12 @@ class Hpt:
             mismatches.append(
                 f"entry count {len(fib.index)} != dumped {len(rows)}")
         for name_text, state, _, _ in rows:
-            node = fib.index.get(name_text)
-            if node is None:
+            nid = fib.index.get(name_text)
+            if nid is None:
                 mismatches.append(f"{name_text}: missing after replay")
-            elif node.state != state:
+            elif fib.state[nid] != state:
                 mismatches.append(
-                    f"{name_text}: state {_STATE_TOKEN[node.state]} != "
+                    f"{name_text}: state {_STATE_TOKEN[fib.state[nid]]} != "
                     f"dumped {_STATE_TOKEN[state]}")
         if mismatches:
             raise LoadError("; ".join(mismatches[:20]))
@@ -389,5 +389,7 @@ class Hpt:
 
     # -- iteration ----------------------------------------------------------
 
-    def entries(self) -> Iterable[tuple[str, FibNode]]:
-        return self.index.items()
+    def entries(self) -> Iterator[tuple[str, EntryState]]:
+        """(text, state) of every indexed entry."""
+        return ((text, EntryState(self.state[nid]))
+                for text, nid in self.index.items())

@@ -2,20 +2,22 @@
 
 Names are fingerprinted by rolling a 64-bit FNV-1a over per-component
 vocabulary ids, one numpy step per name column; the open-addressing
-table maps fingerprints to node ids.  The build rejects any salt under
-which two table keys share a fingerprint and rebuilds with the next, so
-the table itself is injective.  Query prefixes are not checked against
-it: a query prefix that is no table key but whose fingerprint equals one
-is reported as a hit on that key's node.  The vocabulary is fixed at
-build time: ids start at 1, and query packing maps every component the
-table never saw to the reserved id 0, which no table key contains.
+table maps fingerprints to the Hpt's own node ids, and the per-node
+arrays are indexed by them; a free id keeps its slot in those arrays
+(depth 0, face -1) but never enters the table.  The build rejects any
+salt under which two table keys share a fingerprint and rebuilds with
+the next, so the table itself is injective.  Query prefixes are not
+checked against it: a query prefix that is no table key but whose
+fingerprint equals one is reported as a hit on that key's node.  The
+vocabulary is fixed at build time: ids start at 1, and query packing
+maps every component the table never saw to the reserved id 0, which no
+table key contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, count as counter, repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -58,35 +60,30 @@ def _seed(salt: int) -> np.uint64:
 
 
 def pack_fib(hpt: Hpt) -> PackedFib:
-    """Array snapshot of `hpt`; node ids follow the order of `hpt.index`."""
-    nodes = list(hpt.index.values())
-    count = len(nodes)
-    node_ids = dict(zip(map(id, nodes), range(count)))
-    node_ids[id(hpt.root)] = -1
-    parent = np.fromiter(
-        map(node_ids.__getitem__, map(id, map(attrgetter("parent"), nodes))),
-        dtype=np.int32, count=count)
-    del node_ids    # freed before the vocabulary grows, to lower peak memory
-    state = np.fromiter(map(attrgetter("state"), nodes), dtype=np.uint8,
-                        count=count)
+    """Array snapshot of `hpt`, indexed by the table's own node ids."""
+    count = len(hpt.state)
+    live = np.fromiter(hpt.index.values(), dtype=np.int32,
+                       count=len(hpt.index))
+    state = np.array(hpt.state, dtype=np.uint8)
+    parent = np.array(hpt.parent, dtype=np.int32)
     face = np.fromiter(
-        (-1 if f is None else f.face_id
-         for f in map(attrgetter("forwarding"), nodes)),
+        (-1 if f is None else f.face_id for f in hpt.forwarding),
         dtype=np.int32, count=count)
-    depth = np.fromiter(map(str.count, hpt.index, repeat("/")),
-                        dtype=np.int32, count=count)
-    comps = list(map(attrgetter("component"), nodes))
-    vocab = dict(zip(dict.fromkeys(comps), counter(1)))
-    cids = np.fromiter(map(vocab.__getitem__, comps), dtype=np.uint64,
-                       count=count)
+    depth = np.zeros(count, dtype=np.int32)
+    depth[live] = np.fromiter(map(str.count, hpt.index, repeat("/")),
+                              dtype=np.int32, count=live.size)
+    vocab = dict(zip(dict.fromkeys(filter(None, hpt.component)), counter(1)))
+    cids = np.fromiter(map(vocab.get, hpt.component, repeat(0)),
+                       dtype=np.uint64, count=count)
 
-    # Node ids grouped by depth, so each level reads finished parents.
+    # Node ids grouped by depth, so each level reads finished parents;
+    # free ids sit at depth 0, before the first level.
     order = np.argsort(depth, kind="stable")
     bounds = np.searchsorted(depth[order],
                              np.arange(1, int(depth.max(initial=0)) + 2))
     levels = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     size = 1
-    while size < max(8, 2 * count):
+    while size < max(8, 2 * live.size):
         size *= 2
     for salt in range(_SALTS):
         # The extra last slot holds the empty name, so parent -1 reads it.
@@ -94,17 +91,18 @@ def pack_fib(hpt: Hpt) -> PackedFib:
         fp[-1] = _seed(salt)
         for nids in levels:
             fp[nids] = _fnv_step(fp[parent[nids]], cids[nids])
-        fp = fp[:-1]
-        ordered = np.sort(fp)
+        ordered = np.sort(fp[live])
         if not (ordered[1:] == ordered[:-1]).any():
-            table_fp, table_node = _table(fp, size)
+            table_fp, table_node = _table(fp, live, size)
             return PackedFib(table_fp, table_node, size - 1, state, parent,
                              face, depth, vocab, salt)
     raise FingerprintCollision("no collision-free salt found")
 
 
-def _table(fp: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Open-addressing table of distinct fingerprints, linear probing.
+def _table(fp: np.ndarray, rows: np.ndarray,
+           size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Open-addressing table of the distinct fingerprints `fp[rows]`,
+    holding node ids `rows`, with linear probing.
 
     All keys still unplaced advance together, one slot per round.  Where
     several claim the same empty slot the write that lands keeps it and
@@ -114,8 +112,7 @@ def _table(fp: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     mask = size - 1
     table_fp = np.zeros(size, dtype=np.uint64)
     table_node = np.full(size, -1, dtype=np.int32)
-    rows = np.arange(fp.size, dtype=np.int32)
-    slot = (fp & np.uint64(mask)).astype(np.intp)
+    slot = (fp[rows] & np.uint64(mask)).astype(np.intp)
     while rows.size:
         free = table_node[slot] == -1
         table_node[slot[free]] = rows[free]

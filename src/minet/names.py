@@ -53,15 +53,6 @@ class ContentName:
             raise ValueError(f"prefix length {k} out of range 1..{len(self.components)}")
         return ContentName(self.components[:k])
 
-    def prefix_texts(self) -> list[str]:
-        """Canonical text of every prefix, shortest first."""
-        out = []
-        buf = ""
-        for comp in self.components:
-            buf = buf + "/" + comp
-            out.append(buf)
-        return out
-
     def is_prefix_of(self, other: "ContentName") -> bool:
         return self.components == other.components[: len(self.components)]
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,14 +12,18 @@ from minet.hpt import (
     LoadError,
     NotBound,
     UnknownContent,
+    kernels,
+    pack_fib,
+    pack_queries,
 )
+from minet.workload import WorkloadSpec, generate_entries
 
 N = ContentName.parse
 F = ForwardingInfo
 
 
 def states(fib):
-    return {text: node.state for text, node in fib.entries()}
+    return dict(fib.entries())
 
 
 def test_insert_creates_virtual_chain():
@@ -57,7 +62,7 @@ def test_insert_update_replaces_forwarding():
     fib = Hpt()
     fib.insert(N("/a"), F(1))
     fib.insert(N("/a"), F(9))
-    assert fib.index["/a"].forwarding == F(9)
+    assert fib.forwarding[fib.index["/a"]] == F(9)
     assert len(fib) == 1
 
 
@@ -71,7 +76,7 @@ def test_delete_nonleaf_with_real_parent_goes_semi_virtual():
         "/a/b": EntryState.SEMI_VIRTUAL,
         "/a/b/c": EntryState.REAL,
     }
-    assert fib.index["/a/b"].forwarding is None
+    assert fib.forwarding[fib.index["/a/b"]] is None
     assert fib.verify_integrity() == []
 
 
@@ -112,6 +117,20 @@ def test_delete_leaf_prunes_semi_virtual_chain_up_to_real():
     fib.insert(N("/a"), F(2))
     fib.delete(N("/a/b/c"))
     assert states(fib) == {"/a": EntryState.REAL}
+    assert fib.verify_integrity() == []
+
+
+def test_columns_do_not_grow_across_churn():
+    fib = Hpt()
+    name = N("/a/b/c")
+    for face in range(1000):
+        fib.insert(name, F(face))
+        fib.bind_identifier(name, Identifier.identity("u"))
+        assert max(map(len, (fib.state, fib.parent, fib.forwarding,
+                             fib.component))) <= 3
+        fib.delete(name)
+        assert len(fib.index) == 0
+    assert (fib.children, fib.bindings, fib.alt_index) == ({}, {}, {})
     assert fib.verify_integrity() == []
 
 
@@ -237,7 +256,8 @@ def test_load_rejects_mismatched_states():
 def test_verify_integrity_flags_forced_corruption():
     fib = Hpt()
     fib.insert(N("/a/b"), F(1))
-    fib.index["/a"].state = EntryState.SEMI_VIRTUAL  # no real ancestor exists
+    # no real ancestor exists
+    fib.state[fib.index["/a"]] = EntryState.SEMI_VIRTUAL
     problems = fib.verify_integrity()
     assert any("semi-virtual without real ancestor" in p for p in problems)
 
@@ -317,3 +337,37 @@ def test_random_ops_match_oracle_and_stay_consistent():
                 best = q.prefix(k)
                 break
         assert got.matched_prefix == best
+
+
+def test_golden_table_and_kernel_outputs():
+    """Pins the table's observable output: its dump and both kernels'
+    answers (node ids are left out, since they are the table's own)."""
+    entries, _ = generate_entries(WorkloadSpec(
+        entry_count=5000, query_count=0, mean_entry_len=3.0, alphabet=6,
+        seed=7))
+    fib = Hpt()
+    for name, fwd in entries:
+        fib.insert(name, fwd)
+    for name, _ in entries[::3]:
+        fib.delete(name)
+    for i, (name, _) in enumerate(entries[1::3][:200]):
+        fib.bind_identifier(name, Identifier.identity(f"u{i}"))
+    assert fib.verify_integrity() == []
+    assert (len(fib), fib.real_count()) == (4698, 3333)
+    assert hashlib.sha256(fib.dump().encode()).hexdigest() == (
+        "8bc75b64c9caae96b79436d7f3d7078a021a9e657c9805f272682cbf58a33499")
+
+    packed = pack_fib(fib)
+    queries = ([ContentName(name.components + ("zz",)) for name, _ in entries]
+               + [name for name, _ in entries])
+    fps, lens = pack_queries(packed, queries)
+    args = (fps, lens, packed.table_fp, packed.table_node,
+            np.uint64(packed.mask), packed.state)
+    digest = hashlib.sha256()
+    for hit, node, length, probes in (kernels.lpm_batch(*args, packed.parent),
+                                      kernels.linear_batch(*args)):
+        face = np.where(hit != 0, packed.face[node], -1).astype(np.int32)
+        for column in (hit, length, probes, face):
+            digest.update(column.tobytes())
+    assert digest.hexdigest() == (
+        "02321db97e2192feab404ab9b3e33c538c2cff4f5a6c8a7944e0c02bd0c37942")

@@ -87,7 +87,7 @@ def test_backtracking_visible_to_kernel():
     fib.insert(ContentName.parse("/a/p/q/r"), ForwardingInfo(2))
     fib.insert(ContentName.parse("/a"), ForwardingInfo(7))
     # /a/p and /a/p/q are semi-virtual: the walk climbs two levels.
-    assert fib.index["/a/p/q"].state == EntryState.SEMI_VIRTUAL
+    assert fib.state[fib.index["/a/p/q"]] == EntryState.SEMI_VIRTUAL
     queries = [ContentName.parse(t) for t in
                ("/a/b/x", "/a/p/q/x", "/a", "/z", "/a/p/q/r/s")]
     (hit, node, mlen, probes), _ = _assert_matches_dict(fib, queries)
@@ -155,27 +155,33 @@ def test_pack_queries_matches_scalar_reference():
 
 def test_pack_fib_matches_per_node_reference():
     fib, _ = _build("mixed", 4)
-    texts = list(fib.index)
-    # Hpt.insert indexes a new name before the fillers above it.
-    assert texts.index("/" + texts[0].split("/")[1]) > 0
+    real = [text for text, state in fib.entries() if state == EntryState.REAL]
+    for text in real[::5]:
+        fib.delete(ContentName.parse(text))
+    assert fib.free     # freed ids stay in the arrays but not in the table
     packed = pack_fib(fib)
-    pos = {text: nid for nid, text in enumerate(texts)}
+    live = sorted(fib.index.values())
+    # Ids do not follow depth, so the packer must order levels itself.
+    assert (np.diff(packed.depth[live]) < 0).any()
     assert sorted(packed.vocab.values()) == list(
         range(1, len(packed.vocab) + 1))
-    assert set(packed.vocab) == {c for t in texts for c in t.split("/")[1:]}
-    for nid, (text, node) in enumerate(fib.index.items()):
+    assert set(packed.vocab) == {
+        c for t in fib.index for c in t.split("/")[1:]}
+    states = dict(fib.entries())
+    for text, nid in fib.index.items():
         comps = text.split("/")[1:]
         fp = _ref_fingerprints([packed.vocab[c] for c in comps],
                                packed.salt)[-1]
         assert _ref_probe(packed, fp) == nid
         up = text.rsplit("/", 1)[0]
-        assert int(packed.parent[nid]) == (pos[up] if up else -1)
-        assert int(packed.state[nid]) == node.state
+        assert int(packed.parent[nid]) == (fib.index[up] if up else -1)
+        assert int(packed.state[nid]) == states[text]
         assert int(packed.depth[nid]) == len(comps)
+        forwarding = fib.forwarding[nid]
         assert int(packed.face[nid]) == (
-            -1 if node.forwarding is None else node.forwarding.face_id)
+            -1 if forwarding is None else forwarding.face_id)
     stored = packed.table_node[packed.table_node != -1]
-    assert sorted(stored.tolist()) == list(range(len(texts)))
+    assert sorted(stored.tolist()) == live
 
 
 def test_fingerprint_collision_moves_to_a_later_salt(monkeypatch):

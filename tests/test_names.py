@@ -23,7 +23,6 @@ def test_content_name_prefixes():
     name = ContentName.parse("/a/b/c")
     assert name.prefix(1).text == "/a"
     assert name.prefix(3) == name
-    assert name.prefix_texts() == ["/a", "/a/b", "/a/b/c"]
     assert name.prefix(1).is_prefix_of(name)
     assert not name.is_prefix_of(name.prefix(2))
     with pytest.raises(ValueError):
