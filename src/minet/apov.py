@@ -11,6 +11,13 @@ Canonical serialization is length-prefixed fields in the order the
 dataclasses declare them, big-endian integers throughout; digests are
 sha256 over that encoding.  Node identity is simulated: per-node keyed
 hashes stand in for signatures.
+
+A block's transactions are either a tuple of `Transaction` records
+(registry blocks, which carry payloads) or a `TxColumn`: payload-free
+synthetic transactions held as one read-only int64 id column with one
+nominal size, as the simulator makes them.  Both encode to the same
+bytes, so every digest is the same whichever form built the block; a
+decoded block always holds `Transaction` records.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import hmac as hmac_mod
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -78,13 +85,36 @@ class Transaction:
     nominal_size: int = 40
 
 
+@dataclass(frozen=True, eq=False)
+class TxColumn:
+    """Payload-free transactions: a read-only int64 id column and one
+    nominal size, encoded exactly as the matching `Transaction` records.
+    The column is a private copy, so a block's cached encoding, digest
+    and content check cannot go stale."""
+    ids: np.ndarray
+    nominal_size: int = 40
+
+    def __post_init__(self) -> None:
+        col = np.array(self.ids, dtype=np.int64)
+        if not 0 <= self.nominal_size < 2**32:
+            raise ValueError(f"nominal size {self.nominal_size} out of range")
+        col.flags.writeable = False
+        object.__setattr__(self, "ids", col)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+Txs = Union[tuple[Transaction, ...], TxColumn]
+
+
 @dataclass(frozen=True)
 class Block:
     prev_group_hash: bytes
     merkle: bytes
     bookkeeper_key: bytes
     timestamp: int
-    txs: tuple[Transaction, ...]
+    txs: Txs
 
 
 @dataclass(frozen=True)
@@ -192,6 +222,11 @@ class _Reader:
         return self.pos == len(self.buf)
 
 
+# One encoded payload-free transaction: id, payload length 0, nominal size.
+_TX_ROW = np.dtype([("id", ">i8"), ("payload_len", ">u4"),
+                    ("nominal_size", ">u4")])
+
+
 def encode_transaction(tx: Transaction) -> bytes:
     return _u64(tx.id) + _frame(tx.payload) + struct.pack(">I", tx.nominal_size)
 
@@ -213,7 +248,13 @@ def encode_block(block: Block) -> bytes:
     parts = [_frame(block.prev_group_hash), _frame(block.merkle),
              _frame(block.bookkeeper_key), _u64(block.timestamp),
              struct.pack(">I", len(block.txs))]
-    parts.extend(encode_transaction(t) for t in block.txs)
+    if isinstance(block.txs, TxColumn):
+        rows = np.zeros(len(block.txs), _TX_ROW)
+        rows["id"] = block.txs.ids
+        rows["nominal_size"] = block.txs.nominal_size
+        parts.append(rows.tobytes())
+    else:
+        parts.extend(encode_transaction(t) for t in block.txs)
     out = b"".join(parts)
     object.__setattr__(block, "_enc", out)
     return out
@@ -244,10 +285,20 @@ def _block_content_ok(block: Block) -> bool:
     cached = getattr(block, "_content_ok", None)
     if cached is not None:
         return cached
-    ids = [t.id for t in block.txs]
+    _, ids = _with_ids(block.txs)
     ok = len(set(ids)) == len(ids) and merkle_root(ids) == block.merkle
     object.__setattr__(block, "_content_ok", ok)
     return ok
+
+
+def _with_ids(txs: Union[Sequence[Transaction], TxColumn]
+               ) -> tuple[Txs, list[int]]:
+    """`txs` in the form a block holds, and its ids as Python ints, which
+    the merkle tree and the uniqueness check take for both forms."""
+    if isinstance(txs, TxColumn):
+        return txs, txs.ids.tolist()
+    txs = tuple(txs)
+    return txs, [t.id for t in txs]
 
 
 def encode_vote_message(msg: VoteMessage) -> bytes:
@@ -327,13 +378,14 @@ def group_digest(group: BlockGroup) -> bytes:
 
 # -- round operations -----------------------------------------------------------
 
-def make_block(bookkeeper: int, txs: Sequence[Transaction], prev_group_hash: bytes,
-               timestamp: int, config: ConsensusConfig) -> Block:
+def make_block(bookkeeper: int, txs: Union[Sequence[Transaction], TxColumn],
+               prev_group_hash: bytes, timestamp: int,
+               config: ConsensusConfig) -> Block:
     if len(txs) > config.max_txs:
         raise TooManyTransactions(f"{len(txs)} > {config.max_txs}")
-    ids = [t.id for t in txs]
+    txs, ids = _with_ids(txs)
     block = Block(prev_group_hash, merkle_root(ids), node_pubkey(bookkeeper),
-                  timestamp, tuple(txs))
+                  timestamp, txs)
     # The root was just computed from these ids, so only uniqueness is open.
     object.__setattr__(block, "_content_ok", len(set(ids)) == len(ids))
     return block

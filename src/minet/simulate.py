@@ -45,7 +45,7 @@ from .apov import (
     Chain,
     ChainError,
     ConsensusConfig,
-    Transaction,
+    TxColumn,
     VoteMessage,
     BlockVote,
     assemble_group,
@@ -274,8 +274,8 @@ class _Round:
     def _build_block(self, idx: int, bookkeeper: int) -> Block:
         k = self.cfg.txs_per_block
         base = (self.height * self.cfg.node_count + idx) * k
-        txs = [Transaction(base + j, nominal_size=self.cfg.tx_bytes)
-               for j in range(k)]
+        txs = TxColumn(np.arange(base, base + k, dtype=np.int64),
+                       nominal_size=self.cfg.tx_bytes)
         block = make_block(bookkeeper, txs, self.prev_digest,
                            timestamp=self.t0, config=self.rcfg)
         if self.sim.invalid_nodes and bookkeeper in self.sim.invalid_nodes:

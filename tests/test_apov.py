@@ -1,8 +1,10 @@
 """Consensus core: vote tallies, sealing, serialization, chain linkage."""
 
+import dataclasses
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from minet.apov import (
@@ -18,6 +20,7 @@ from minet.apov import (
     NotEnoughCandidates,
     TooManyTransactions,
     Transaction,
+    TxColumn,
     VoteMessage,
     append_block_group,
     assemble_group,
@@ -26,6 +29,7 @@ from minet.apov import (
     decode_block_group,
     default_validity,
     elect_bookkeepers,
+    encode_block,
     encode_block_group,
     genesis_group,
     group_digest,
@@ -100,6 +104,52 @@ def test_make_block_with_duplicate_ids_is_refused():
     assert not policy(twice)
     assert policy(make_block(0, _txs(0, 3), GENESIS_HASH, timestamp=1,
                              config=CFG))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 999, 1000])
+def test_id_column_encodes_as_transaction_records(k):
+    cfg = ConsensusConfig(n_b=1, n_c=1, max_txs=1000)
+    ids = np.arange(k, dtype=np.int64) + (2**62 - 500)
+    column = make_block(5, TxColumn(ids, nominal_size=40), GENESIS_HASH,
+                        timestamp=9, config=cfg)
+    records = make_block(5, [Transaction(int(i), nominal_size=40) for i in ids],
+                         GENESIS_HASH, timestamp=9, config=cfg)
+    assert encode_block(column) == encode_block(records)
+    assert block_digest(column) == block_digest(records)
+    assert column.merkle == records.merkle == merkle_root(ids.tolist())
+    assert default_validity(GENESIS_HASH, cfg)(column)
+
+    group = BlockGroup(genesis_group(0).header, (column,))
+    buf = encode_block_group(group)
+    again = decode_block_group(buf)
+    assert encode_block_group(again) == buf
+    assert [t.id for t in again.body[0].txs] == ids.tolist()
+
+
+def test_id_column_with_duplicate_id_is_corrupt():
+    ids = np.array([2**62, 2**62 + 1, 2**62], dtype=np.int64)
+    block = make_block(0, TxColumn(ids), GENESIS_HASH, timestamp=1, config=CFG)
+    assert block._content_ok is False
+    # the same block without make_block's cached verdict
+    rebuilt = Block(block.prev_group_hash, block.merkle, block.bookkeeper_key,
+                    block.timestamp, block.txs)
+    for b in (block, rebuilt):
+        group = BlockGroup(genesis_group(0).header, (b,))
+        assert "body block content corrupt" in validate_block_group(
+            group, CFG, GENESIS_HASH)
+
+
+def test_id_column_is_read_only():
+    source = np.array([1, 2, 3], dtype=np.int64)
+    column = TxColumn(source)
+    with pytest.raises(ValueError):
+        column.ids[0] = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        column.ids = source
+    source[0] = 4                       # the column holds its own copy
+    assert column.ids.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError):
+        TxColumn(source, nominal_size=2**32)
 
 
 def test_full_round_seals_and_appends():

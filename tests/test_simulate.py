@@ -1,8 +1,10 @@
 """Round simulator: closed-form agreement, replay, faults, determinism."""
 
+import hashlib
+
 import pytest
 
-from minet import apov, perfmodel
+from minet import apov, perfmodel, simulate
 from minet.simulate import (
     ConfigInvalid,
     FaultSpec,
@@ -19,7 +21,7 @@ def _small(n=4, rounds=3, k=25, **kw):
 
 
 def test_zero_compute_matches_structural_transmission_exactly():
-    for n in (3, 5, 8, 16, 32, 64, 128):
+    for n in (3, 5, 8, 16, 32, 64, 128, 256):
         cfg = SimConfig(node_count=n, rounds=1, txs_per_block=100,
                         compute_model="zero")
         m = run_rounds(cfg).rounds[0]
@@ -30,6 +32,33 @@ def test_zero_compute_matches_structural_transmission_exactly():
         assert m.t3 == e3
         assert m.t4 == 0.0
         assert m.t_cons == m.t1 + m.t2 + m.t3 + m.t4
+
+
+def test_simulated_chain_bytes_are_pinned(monkeypatch):
+    # sha256 over every group node 0 stores, then every node's tip digest,
+    # pinned with blocks built from Transaction records: the id-column
+    # form must give the same bytes
+    sims = []
+
+    class Recording(simulate._Sim):
+        def __init__(self, config):
+            super().__init__(config)
+            sims.append(self)
+
+    monkeypatch.setattr(simulate, "_Sim", Recording)
+    cfg = SimConfig(node_count=8, rounds=3, txs_per_block=50, seed=11,
+                    faults=(FaultSpec(node=2, behavior="invalid_blocks"),
+                            FaultSpec(node=5, behavior="dissenting_votes")))
+    res = run_rounds(cfg)
+    assert res.summary.rounds_completed == 3
+    (sim,) = sims
+    h = hashlib.sha256()
+    for group in sim.chains[0].groups:
+        h.update(apov.encode_block_group(group))
+    for chain in sim.chains:
+        h.update(chain.tip_digest)
+    assert h.hexdigest() == ("46b6b7161f6ea3d8da66f1fa87a503a1"
+                             "bd4d15cc42c732314854109d035090cf")
 
 
 def test_each_sealed_group_is_validated_once_per_round(monkeypatch):
