@@ -37,7 +37,7 @@ SIM_CSV_HEADER = ("round", "t1", "t2", "t3", "t4", "t_cons", "committed_txs")
 
 _USAGE_ERRORS = (simulate.ConfigInvalid, simulate.UnknownNode,
                  bench.BenchError, perfmodel.ModelError, InfeasibleSpec,
-                 ParseError, registry.RegistryError)
+                 ParseError, registry.RegistryError, tunnel.TunnelError)
 
 
 def main() -> None:
@@ -463,6 +463,8 @@ def _cmd_tunnel_demo(ns, out: Path) -> int:
         modes = list(tunnel.TunnelMode)
     else:
         modes = [tunnel.TunnelMode(ns.mode)]
+    if ns.payload_bytes < 0:
+        raise ParseError(f"--payload-bytes {ns.payload_bytes} is negative")
     payload = np.random.default_rng(ns.seed).integers(
         0, 256, size=ns.payload_bytes, dtype=np.uint8).tobytes()
     rows = []

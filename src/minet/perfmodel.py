@@ -24,8 +24,8 @@ form is what the scaling/throughput curves compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -154,9 +154,14 @@ def consensus_time_fit(n: int | float) -> float:
     return (0.0312 * n**3 - 0.1920 * n**2 + 2.0714 * n + 11.2500) / 125.0
 
 
+# (a, b, c, d) of the transmission fit a*n**3 + b*n**2 + c*n + d
+TRANSMISSION_FIT = (0.0001, 0.0008, 0.3213, -0.3214)
+
+
 def fitted_transmission_mb(n: int | float) -> float:
     """Cubic fit of bytes moved per round, in decimal megabytes."""
-    return 0.0001 * n**3 + 0.0008 * n**2 + 0.3213 * n - 0.3214
+    a, b, c, d = TRANSMISSION_FIT
+    return a * n**3 + b * n**2 + c * n + d
 
 
 def fitted_transmission_time(n: int | float, band: float = 125e6) -> float:
@@ -252,8 +257,13 @@ def sweep_grid(n_values: Sequence[int], speedups: Sequence[float],
     sum, matching the whole-round fit at a=1 and the reference
     bandwidth.  The throughput column divides by the round time with
     the leader's sealing surcharge included, so t_cons * throughput is
-    deliberately less than n * txs_per_block.
+    deliberately less than n * txs_per_block.  An empty axis or a
+    non-positive speedup or band raises ModelError at the first step.
     """
+    if 0 in (len(n_values), len(speedups), len(bands)):
+        raise ModelError("every sweep axis needs at least one value")
+    if not all(a > 0 for a in speedups) or not all(b > 0 for b in bands):
+        raise ModelError("speedups and bands must be positive")
     for n in n_values:
         for a in speedups:
             for band in bands:
@@ -298,11 +308,10 @@ def transmission_coefficient_report(
     vander = np.vander(ns, 4)
     coeffs = np.linalg.solve(vander, np.array(mb))
     structural = tuple(float(c) for c in coeffs)
-    fitted = (0.0001, 0.0008, 0.3213, -0.3214)
-    gap = abs(structural[2] - fitted[2]) / abs(fitted[2])
+    gap = abs(structural[2] - TRANSMISSION_FIT[2]) / abs(TRANSMISSION_FIT[2])
     return TransmissionCoefficientReport(
         structural=structural,
-        fitted=fitted,
+        fitted=TRANSMISSION_FIT,
         linear_gap_ratio=gap,
         consistent=gap <= tolerance,
     )

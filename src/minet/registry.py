@@ -32,7 +32,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .apov import (
     Chain,
@@ -128,11 +128,7 @@ class Domain:
         return f"Domain({self.name.text})"
 
 
-CompliancePredicate = Callable[["Hierarchy", Domain, RegistrationRequest],
-                               Optional[str]]
-
-
-def default_compliance(hier: "Hierarchy", domain: Domain,
+def default_compliance(domain: Domain,
                        request: RegistrationRequest) -> Optional[str]:
     """Syntactic validity of the request, beyond what the types enforce."""
     if request.owner.kind is not IdKind.IDENTITY:
@@ -154,11 +150,9 @@ def default_compliance(hier: "Hierarchy", domain: Domain,
 class Hierarchy:
     """A domain tree plus the registry operations running over it."""
 
-    def __init__(self, root: Domain, store_path=None,
-                 compliance: CompliancePredicate = default_compliance):
+    def __init__(self, root: Domain, store_path=None):
         self.root = root
         self.store_path = store_path
-        self.compliance = compliance
         self.committed: dict[Identifier, ContentName] = {}
         self._index: dict[ContentName, Domain] = {}
         stack = [root]
@@ -203,7 +197,7 @@ class Hierarchy:
             where = self.committed[request.identifier].text
             raise Duplicate(f"{request.identifier.text} already committed "
                             f"in {where}")
-        reason = self.compliance(self, domain, request)
+        reason = default_compliance(domain, request)
         if reason is not None:
             raise ComplianceRejected(reason)
         tx = _registration_tx(request, domain)

@@ -21,8 +21,9 @@ node of every hop and, on CCN segments, the Interest name it carries.
 A gateway missing from the registry raises UnknownMir there, not at the
 first flight.
 
-Everything runs in-process over a simulated chain; a node marked down
-surfaces as a Timeout and the connection folds back to Closed.
+Each mode's chain is built once, at import; connections share it and
+keep their own state.  Everything runs in-process; a node a connection
+is told is down surfaces as a Timeout and it folds back to Closed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import hashlib
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -239,14 +240,12 @@ class TunnelState(Enum):
     FIN_WAIT = "FinWait"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainNode:
     label: str
     kind: str                     # "endpoint" or "mir"
     ip: str
     prefix: Optional[ContentName] = None
-    down: bool = False
-    received: bytearray = field(default_factory=bytearray)
 
 
 @dataclass(frozen=True)
@@ -272,37 +271,42 @@ class TransferReport:
         return self.digest_sent == self.digest_received
 
 
-def build_chain(mode: TunnelMode,
-                registry: Optional[MirRegistry] = None
-                ) -> tuple[list[ChainNode], MirRegistry]:
-    """Endpoints at the ends, one gateway per segment boundary."""
-    registry = registry if registry is not None else MirRegistry()
+REGISTRY = MirRegistry()
+
+
+def _build_chain(mode: TunnelMode) -> tuple[ChainNode, ...]:
+    """Endpoints at the ends, one gateway per segment boundary; gateway i
+    is /mir<i> at 10.0.1.<i> in every mode, so all share REGISTRY."""
     segments = mode.segments
-    nodes = [ChainNode("A", "endpoint", "10.0.0.1")]
-    for i in range(len(segments) - 1):
-        ip = f"10.0.1.{i + 1}"
-        prefix = ContentName.parse(f"/mir{i + 1}")
-        registry.register(MirName(prefix, ip))
-        nodes.append(ChainNode(f"mir{i + 1}", "mir", ip, prefix))
-    nodes.append(ChainNode("B", "endpoint", "10.0.0.2"))
     # endpoints on a CCN segment are named nodes themselves
-    if segments[0] == "ccn":
-        nodes[0].prefix = ContentName.parse("/host/a")
-    if segments[-1] == "ccn":
-        nodes[-1].prefix = ContentName.parse("/host/b")
-    return nodes, registry
+    nodes = [ChainNode("A", "endpoint", "10.0.0.1", ContentName.parse(
+        "/host/a") if segments[0] == "ccn" else None)]
+    for i in range(1, len(segments)):
+        mir = MirName(ContentName.parse(f"/mir{i}"), f"10.0.1.{i}")
+        REGISTRY.register(mir)
+        nodes.append(ChainNode(f"mir{i}", "mir", mir.ip, mir.ccn_prefix))
+    nodes.append(ChainNode("B", "endpoint", "10.0.0.2", ContentName.parse(
+        "/host/b") if segments[-1] == "ccn" else None))
+    return tuple(nodes)
+
+
+CHAINS = {mode: _build_chain(mode) for mode in TunnelMode}
 
 
 class TunnelConnection:
-    """One tunneled transport connection across a gateway chain."""
+    """One tunneled transport connection across its mode's shared chain."""
 
-    def __init__(self, mode: TunnelMode,
-                 nodes: Optional[list[ChainNode]] = None,
-                 registry: Optional[MirRegistry] = None,
+    def __init__(self, mode: TunnelMode, registry: MirRegistry = REGISTRY,
                  src_port: int = 40001, dst_port: int = 80,
-                 segment_size: int = SEGMENT_SIZE):
-        if nodes is None:
-            nodes, registry = build_chain(mode)
+                 segment_size: int = SEGMENT_SIZE, down: Iterable[str] = ()):
+        nodes = CHAINS[mode]
+        self.down = frozenset(down)
+        unknown = self.down.difference(n.label for n in nodes)
+        if unknown:
+            raise TunnelError(f"no node {', '.join(sorted(unknown))} in "
+                              f"the {mode.value} chain")
+        if segment_size < 1:
+            raise TunnelError(f"segment size {segment_size} is not positive")
         self.mode = mode
         self.nodes = nodes
         self.src_port = src_port
@@ -314,6 +318,7 @@ class TunnelConnection:
         self.seq_fwd = 0
         self.seq_rev = 0
         self.interest_log: list[InterestPacket] = []
+        self._received = hashlib.sha256()     # of the bytes delivered to B
         four_tuple = (f"{nodes[0].ip}:{src_port}->{nodes[-1].ip}:{dst_port}")
         self.conn_id = hashlib.sha256(four_tuple.encode()).hexdigest()[:12]
         segments = mode.segments
@@ -321,7 +326,7 @@ class TunnelConnection:
             True: self._route(nodes[1:], segments, registry),
             False: self._route(nodes[-2::-1], segments[::-1], registry)}
 
-    def _route(self, path: list[ChainNode], segments: tuple[str, ...],
+    def _route(self, path: tuple[ChainNode, ...], segments: tuple[str, ...],
                registry: MirRegistry
                ) -> list[tuple[ChainNode, Optional[ContentName]]]:
         """(next node, Interest name or None) for each hop along `path`."""
@@ -353,7 +358,7 @@ class TunnelConnection:
         header = self._header(flags, forward, seq, ack)
         interests = 0
         for nxt, name in self._routes[forward]:
-            if nxt.down:
+            if nxt.label in self.down:
                 self.state = TunnelState.CLOSED
                 raise Timeout(f"node {nxt.label} is unreachable")
             if name is not None:
@@ -361,8 +366,7 @@ class TunnelConnection:
                 interests += 1
         self.interests_sent += interests
         if payload is not None:
-            receiver = self.nodes[-1] if forward else self.nodes[0]
-            receiver.received.extend(payload)
+            self._received.update(payload)
             self.bytes_delivered += len(payload)
         return ExchangeRecord(flag_names(flags), "fwd" if forward else "rev",
                               interests)
@@ -412,18 +416,14 @@ class TunnelConnection:
         return trace
 
     def receiver_digest(self) -> str:
-        return hashlib.sha256(bytes(self.nodes[-1].received)).hexdigest()
+        return self._received.hexdigest()
 
 
 def run_scenario(mode: TunnelMode, payload: bytes,
                  down_nodes: Iterable[str] = (),
                  segment_size: int = SEGMENT_SIZE) -> TransferReport:
     """Establish, transfer, terminate; report fidelity and packet counts."""
-    nodes, registry = build_chain(mode)
-    for node in nodes:
-        if node.label in down_nodes:
-            node.down = True
-    conn = TunnelConnection(mode, nodes, registry, segment_size=segment_size)
+    conn = TunnelConnection(mode, segment_size=segment_size, down=down_nodes)
     est = conn.establish()
     segments = conn.send(payload)
     fin = conn.terminate()

@@ -26,14 +26,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path)]) == 2
     assert run_command(["model-eval", "--nodes", "2",
                         "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
     for argv in (["fib-bench", "--query-lens", "6,x"],
                  ["fib-bench", "--query-lens", "6:9:1:2"],
                  ["fib-bench", "--build-scaling", "1:2:3"],
                  ["fib-bench", "--build-scaling", "abc"],
                  ["model-sweep", "--nodes", "a:b"],
-                 ["model-sweep", "--speedups", "1,z"]):
+                 ["model-sweep", "--speedups", "1,z"],
+                 ["model-sweep", "--nodes", "5:3"],
+                 ["model-sweep", "--speedups", ","],
+                 ["model-sweep", "--bands", "0"],
+                 ["model-sweep", "--speedups", "0"],
+                 ["model-eval", "--band", "0"],
+                 ["tunnel-demo", "--segment-size", "0"],
+                 ["tunnel-demo", "--payload-bytes", "-1"],
+                 ["tunnel-demo", "--mode", "ip-ccn", "--down", "mir2"]):
         assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
-    capsys.readouterr()
+        assert capsys.readouterr().err.startswith("error: "), argv
     # sizes out of order are a usage error before any bench runs
     assert run_command(["fib-bench", "--entries", "2000", "--queries", "200",
                         "--build-scaling", "5000:500",

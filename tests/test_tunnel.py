@@ -19,10 +19,10 @@ from minet.tunnel import (
     Timeout,
     TransferReport,
     TunnelConnection,
+    TunnelError,
     TunnelMode,
     TunnelState,
     UnknownMir,
-    build_chain,
     flag_names,
     read_interest_log,
     run_scenario,
@@ -93,9 +93,8 @@ def test_mir_registry_bijection():
 
 def test_route_is_fixed_at_connect():
     for mode in MODES:
-        nodes, _ = build_chain(mode)
         with pytest.raises(UnknownMir):
-            TunnelConnection(mode, nodes, MirRegistry())
+            TunnelConnection(mode, MirRegistry())
     conn = TunnelConnection(TunnelMode.CCN_IP)
     conn.establish()
     assert conn.interest_log[0].name.text == f"/mir1/{conn.conn_id}"
@@ -198,9 +197,7 @@ def test_large_transfer_16mib():
 
 
 def test_down_node_times_out_and_closes():
-    nodes, registry = build_chain(TunnelMode.IP_CCN_IP)
-    nodes[2].down = True      # the far gateway
-    conn = TunnelConnection(TunnelMode.IP_CCN_IP, nodes, registry)
+    conn = TunnelConnection(TunnelMode.IP_CCN_IP, down={"mir2"})  # far gateway
     with pytest.raises(Timeout):
         conn.establish()
     assert conn.state is TunnelState.CLOSED
@@ -212,13 +209,44 @@ def test_down_node_times_out_and_closes():
 @given(st.sampled_from(MODES), st.binary(max_size=20000),
        st.integers(100, 5000))
 def test_fidelity_property(mode, payload, seg_size):
-    nodes, registry = build_chain(mode)
-    conn = TunnelConnection(mode, nodes, registry, segment_size=seg_size)
+    conn = TunnelConnection(mode, segment_size=seg_size)
     conn.establish()
     conn.send(payload)
     conn.terminate()
     assert conn.receiver_digest() == hashlib.sha256(payload).hexdigest()
     assert conn.bytes_delivered == len(payload)
+
+
+def test_back_to_back_connections_share_the_chain():
+    for mode in MODES:
+        conns = []
+        for payload in (b"first" * 2000, b"second" * 300):
+            conn = TunnelConnection(mode)
+            conn.establish()
+            conn.send(payload)
+            conn.terminate()
+            assert conn.receiver_digest() == hashlib.sha256(payload).hexdigest()
+            assert conn.bytes_delivered == len(payload)
+            conns.append(conn)
+        assert conns[0].nodes is conns[1].nodes
+
+
+def test_down_is_per_connection():
+    for mode in MODES:
+        with pytest.raises(Timeout):
+            TunnelConnection(mode, down={"mir1"}).establish()
+        report = run_scenario(mode, b"after the outage")
+        assert report.matched
+        assert report.bytes_delivered == len(b"after the outage")
+
+
+def test_bad_connection_parameters_raise_at_connect():
+    with pytest.raises(TunnelError, match="mir2"):
+        TunnelConnection(TunnelMode.IP_CCN, down={"mir2"})
+    with pytest.raises(TunnelError, match="mir2"):
+        run_scenario(TunnelMode.IP_CCN, b"x", down_nodes=["mir2"])
+    with pytest.raises(TunnelError):
+        TunnelConnection(TunnelMode.IP_CCN, segment_size=0)
 
 
 def test_deterministic_interest_logs():
