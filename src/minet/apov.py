@@ -28,7 +28,7 @@ import hmac as hmac_mod
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,14 +157,11 @@ class BlockGroup:
 class ConsensusConfig:
     n_b: int                     # bookkeeping nodes
     n_c: int                     # consortium (voting) nodes
-    n_bc: int = 0                # nodes holding both roles
     max_txs: int = 10_000        # per-block transaction cap
 
     def __post_init__(self) -> None:
         if self.n_b < 1 or self.n_c < 1:
             raise ValueError("need at least one bookkeeper and one voter")
-        if not 0 <= self.n_bc <= min(self.n_b, self.n_c):
-            raise ValueError("n_bc must not exceed either role count")
         if self.max_txs < 1:
             raise ValueError("max_txs must be positive")
 
@@ -391,24 +388,21 @@ def make_block(bookkeeper: int, txs: Union[Sequence[Transaction], TxColumn],
     return block
 
 
-def default_validity(prev_group_hash: bytes,
-                     config: ConsensusConfig) -> Callable[[Block], bool]:
+def block_is_valid(block: Block, prev_group_hash: bytes,
+                   config: ConsensusConfig) -> bool:
     """Structural block check: linkage, tx cap, unique ids, merkle recompute."""
-    def policy(block: Block) -> bool:
-        if block.prev_group_hash != prev_group_hash:
-            return False
-        if len(block.txs) > config.max_txs:
-            return False
-        return _block_content_ok(block)
-    return policy
+    return (block.prev_group_hash == prev_group_hash
+            and len(block.txs) <= config.max_txs
+            and _block_content_ok(block))
 
 
 def cast_validation_votes(voter: int, blocks: Sequence[Block],
-                          policy: Callable[[Block], bool]) -> VoteMessage:
+                          prev_group_hash: bytes,
+                          config: ConsensusConfig) -> VoteMessage:
     votes = []
     for block in blocks:
         h = block_digest(block)
-        approve = bool(policy(block))
+        approve = block_is_valid(block, prev_group_hash, config)
         votes.append(BlockVote(h, approve, voter, sign_vote(voter, h, approve)))
     return VoteMessage(voter, tuple(votes))
 

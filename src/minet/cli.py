@@ -13,7 +13,8 @@ to stdout, and shares one exit-code convention:
 
 A JSON file passed via --config is applied on top of the parsed flags
 (file values win), so runs can be pinned and replayed from a single
-artifact.
+artifact.  Each key is parsed as its flag would be: a list gives an
+append flag one value per item and a comma-list flag the joined items.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ def run_command(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        _apply_config(ns)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        _apply_config(ns)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: bad --config file: {exc}", file=sys.stderr)
         return 2
@@ -78,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory for the CSV report and JSON sidecar")
         p.add_argument("--config", default=None,
                        help="JSON file whose keys override these flags")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("fib-bench",
                        help="probe-count and wall-time comparison of the "
@@ -175,48 +176,60 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(ns: argparse.Namespace) -> None:
+    """Parse the --config file's keys as the subcommand's own flags."""
     if not ns.config:
         return
     with open(ns.config, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise TypeError("config root must be a JSON object")
+    actions = {a.dest: a for a in ns.parser._actions
+               if a.dest not in ("help", "config")}
+    argv = []
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(ns, dest) or dest in ("handler", "command", "config"):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise KeyError(f"unknown config key {key!r}")
-        setattr(ns, dest, value)
+        delattr(ns, action.dest)    # back to its default: file values win
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise TypeError(f"config key {key!r} takes true or false")
+            argv += [flag] if value else []
+        elif isinstance(action, argparse._AppendAction):
+            values = value if isinstance(value, list) else [value]
+            argv += [f"{flag}={v}" for v in values]
+        elif isinstance(value, list):
+            argv.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            argv.append(f"{flag}={value}")
+    ns.parser.parse_args(argv, namespace=ns)
 
 
-def _ints(value) -> list[int]:
+def _ints(value: str) -> list[int]:
     """A comma list or lo:hi[:step] of integers."""
     try:
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        text = str(value)
-        if ":" not in text:
-            return [int(p) for p in text.split(",") if p]
-        lo, hi, *step = (int(p) for p in text.split(":"))
+        if ":" not in value:
+            return [int(p) for p in value.split(",") if p]
+        lo, hi, *step = (int(p) for p in value.split(":"))
         if len(step) > 1:
             raise ValueError("more than three range parts")
         return list(range(lo, hi + 1, *step))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed integer list {value!r}: {exc}") from exc
 
 
-def _floats(value) -> list[float]:
+def _floats(value: str) -> list[float]:
     """A comma list of numbers."""
     try:
-        if isinstance(value, (list, tuple)):
-            return [float(v) for v in value]
-        return [float(p) for p in str(value).split(",") if p]
-    except (TypeError, ValueError) as exc:
+        return [float(p) for p in value.split(",") if p]
+    except ValueError as exc:
         raise ParseError(f"malformed number list {value!r}: {exc}") from exc
 
 
-def _pair(value) -> tuple[int, int]:
+def _pair(value: str) -> tuple[int, int]:
     """Exactly two integers, as SMALL:BIG with 0 < SMALL < BIG."""
-    sizes = _ints(str(value).replace(":", ","))
+    sizes = _ints(value.replace(":", ","))
     if len(sizes) != 2 or not 0 < sizes[0] < sizes[1]:
         raise ParseError(f"expected SMALL:BIG with 0 < SMALL < BIG, "
                          f"got {value!r}")
@@ -337,10 +350,10 @@ def _cmd_fib_check(ns, out: Path) -> int:
     return 0
 
 
-def _parse_faults(specs) -> tuple[simulate.FaultSpec, ...]:
+def _parse_faults(specs: list[str]) -> tuple[simulate.FaultSpec, ...]:
     out = []
     for spec in specs:
-        parts = str(spec).split(":")
+        parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise simulate.ConfigInvalid(
                 f"fault {spec!r} is not NODE:BEHAVIOR[:ROUND]")

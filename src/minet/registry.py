@@ -42,7 +42,6 @@ from .apov import (
     Transaction,
     assemble_group,
     cast_validation_votes,
-    default_validity,
     make_block,
     tally_and_seal,
 )
@@ -216,14 +215,13 @@ class Hierarchy:
     def _commit_round(self, domain: Domain, txs: list[Transaction]) -> int:
         """One consensus round among the domain's supervisors: the round
         leader packs the registration block, every supervisor votes."""
-        cfg = ConsensusConfig(n_b=1, n_c=len(domain.supervisors), n_bc=1,
+        cfg = ConsensusConfig(n_b=1, n_c=len(domain.supervisors),
                               max_txs=max(64, len(txs)))
         height = domain.chain.height + 1
         prev = domain.chain.tip_digest
         leader = domain.chain.next_leader
         block = make_block(leader, txs, prev, timestamp=height, config=cfg)
-        policy = default_validity(prev, cfg)
-        votes = [cast_validation_votes(v, [block], policy)
+        votes = [cast_validation_votes(v, [block], prev, cfg)
                  for v in domain.supervisors
                  if v not in domain.down_supervisors]
         seed = _round_seed(domain.name, height)

@@ -50,7 +50,6 @@ from .apov import (
     BlockVote,
     assemble_group,
     cast_validation_votes,
-    default_validity,
     make_block,
     sign_vote,
     tally_and_seal,
@@ -208,7 +207,6 @@ class _Round:
             self.consortium = [x for x in range(n) if x != self.leader]
         self.rcfg = ConsensusConfig(
             n_b=len(self.bookkeepers), n_c=len(self.consortium),
-            n_bc=len(set(self.bookkeepers) & set(self.consortium)),
             max_txs=self.cfg.txs_per_block)
         self.prev_digest = sim.chains[0].tip_digest
 
@@ -301,8 +299,8 @@ class _Round:
         return [held[b] for b in self.bookkeepers if b in held]
 
     def _send_vote(self, voter: int) -> None:
-        policy = default_validity(self.prev_digest, self.rcfg)
-        msg = cast_validation_votes(voter, self._ordered_blocks(voter), policy)
+        msg = cast_validation_votes(voter, self._ordered_blocks(voter),
+                                    self.prev_digest, self.rcfg)
         if voter in self.sim.dissent_nodes:
             msg = VoteMessage(voter, tuple(
                 BlockVote(v.block_hash, not v.approve, v.voter,

@@ -16,13 +16,12 @@ as payload-bearing Interests on CCN segments, one acknowledgment flight
 per segment in the reverse direction (stop-and-wait), since the
 underlying fabric offers no reliability of its own.
 
-A connection fixes its route at connect: for each direction, the next
-node of every hop and, on CCN segments, the Interest name it carries.
-A gateway missing from the registry raises UnknownMir there, not at the
-first flight.
-
-Each mode's chain is built once, at import; connections share it and
-keep their own state.  Everything runs in-process; a node a connection
+Everything that depends only on the mode is planned once, at import:
+its chain of nodes, with every gateway registered in REGISTRY, and for
+each direction the next node of every hop and, on CCN segments, the
+Interest name it carries.  Every connection runs between 10.0.0.1:40001
+and 10.0.0.2:80, so all share CONN_ID and the planned routes, and keep
+only their own state.  Everything runs in-process; a node a connection
 is told is down surfaces as a Timeout and it folds back to Closed.
 """
 
@@ -243,7 +242,6 @@ class TunnelState(Enum):
 @dataclass(frozen=True)
 class ChainNode:
     label: str
-    kind: str                     # "endpoint" or "mir"
     ip: str
     prefix: Optional[ContentName] = None
 
@@ -273,32 +271,51 @@ class TransferReport:
 
 REGISTRY = MirRegistry()
 
+# every connection runs from endpoint A's port to endpoint B's
+A_IP, A_PORT = "10.0.0.1", 40001
+B_IP, B_PORT = "10.0.0.2", 80
+CONN_ID = hashlib.sha256(
+    f"{A_IP}:{A_PORT}->{B_IP}:{B_PORT}".encode()).hexdigest()[:12]
+# a flight's header addresses and ports, by direction (True: A->B)
+_ENDS = {True: (A_IP, B_IP, A_PORT, B_PORT),
+         False: (B_IP, A_IP, B_PORT, A_PORT)}
+
 
 def _build_chain(mode: TunnelMode) -> tuple[ChainNode, ...]:
     """Endpoints at the ends, one gateway per segment boundary; gateway i
     is /mir<i> at 10.0.1.<i> in every mode, so all share REGISTRY."""
     segments = mode.segments
     # endpoints on a CCN segment are named nodes themselves
-    nodes = [ChainNode("A", "endpoint", "10.0.0.1", ContentName.parse(
+    nodes = [ChainNode("A", A_IP, ContentName.parse(
         "/host/a") if segments[0] == "ccn" else None)]
     for i in range(1, len(segments)):
         mir = MirName(ContentName.parse(f"/mir{i}"), f"10.0.1.{i}")
         REGISTRY.register(mir)
-        nodes.append(ChainNode(f"mir{i}", "mir", mir.ip, mir.ccn_prefix))
-    nodes.append(ChainNode("B", "endpoint", "10.0.0.2", ContentName.parse(
+        nodes.append(ChainNode(f"mir{i}", mir.ip, mir.ccn_prefix))
+    nodes.append(ChainNode("B", B_IP, ContentName.parse(
         "/host/b") if segments[-1] == "ccn" else None))
     return tuple(nodes)
 
 
+def _route(path: tuple[ChainNode, ...], segments: tuple[str, ...]
+           ) -> tuple[tuple[str, Optional[ContentName]], ...]:
+    """(next node's label, Interest name or None) for each hop of `path`."""
+    return tuple((nxt.label, nxt.prefix.child(CONN_ID)
+                  if segment == "ccn" else None)
+                 for nxt, segment in zip(path, segments, strict=True))
+
+
 CHAINS = {mode: _build_chain(mode) for mode in TunnelMode}
+_ROUTES = {mode: {True: _route(nodes[1:], mode.segments),
+                  False: _route(nodes[-2::-1], mode.segments[::-1])}
+           for mode, nodes in CHAINS.items()}
 
 
 class TunnelConnection:
     """One tunneled transport connection across its mode's shared chain."""
 
-    def __init__(self, mode: TunnelMode, registry: MirRegistry = REGISTRY,
-                 src_port: int = 40001, dst_port: int = 80,
-                 segment_size: int = SEGMENT_SIZE, down: Iterable[str] = ()):
+    def __init__(self, mode: TunnelMode, segment_size: int = SEGMENT_SIZE,
+                 down: Iterable[str] = ()):
         nodes = CHAINS[mode]
         self.down = frozenset(down)
         unknown = self.down.difference(n.label for n in nodes)
@@ -309,8 +326,7 @@ class TunnelConnection:
             raise TunnelError(f"segment size {segment_size} is not positive")
         self.mode = mode
         self.nodes = nodes
-        self.src_port = src_port
-        self.dst_port = dst_port
+        self.conn_id = CONN_ID
         self.segment_size = segment_size
         self.state = TunnelState.CLOSED
         self.interests_sent = 0
@@ -319,48 +335,21 @@ class TunnelConnection:
         self.seq_rev = 0
         self.interest_log: list[InterestPacket] = []
         self._received = hashlib.sha256()     # of the bytes delivered to B
-        four_tuple = (f"{nodes[0].ip}:{src_port}->{nodes[-1].ip}:{dst_port}")
-        self.conn_id = hashlib.sha256(four_tuple.encode()).hexdigest()[:12]
-        segments = mode.segments
-        self._routes = {
-            True: self._route(nodes[1:], segments, registry),
-            False: self._route(nodes[-2::-1], segments[::-1], registry)}
-
-    def _route(self, path: tuple[ChainNode, ...], segments: tuple[str, ...],
-               registry: MirRegistry
-               ) -> list[tuple[ChainNode, Optional[ContentName]]]:
-        """(next node, Interest name or None) for each hop along `path`."""
-        route = []
-        for nxt, segment in zip(path, segments, strict=True):
-            name = None
-            if segment == "ccn":
-                if nxt.kind == "mir":
-                    registry.by_prefix(nxt.prefix)
-                name = nxt.prefix.child(self.conn_id)
-            route.append((nxt, name))
-        return route
+        self._routes = _ROUTES[mode]
 
     # -- flights -----------------------------------------------------------
-
-    def _header(self, flags: int, forward: bool, seq: int, ack: int
-                ) -> SignalingHeader:
-        a, b = self.nodes[0], self.nodes[-1]
-        src, dst = (a, b) if forward else (b, a)
-        sp, dp = ((self.src_port, self.dst_port) if forward
-                  else (self.dst_port, self.src_port))
-        return SignalingHeader(flags, seq, ack, src.ip, dst.ip, sp, dp)
 
     def _flight(self, flags: int, forward: bool,
                 payload: Optional[bytes] = None) -> ExchangeRecord:
         """Move one signaling flight end to end, hop by hop."""
         seq = self.seq_fwd if forward else self.seq_rev
         ack = self.seq_rev if forward else self.seq_fwd
-        header = self._header(flags, forward, seq, ack)
+        header = SignalingHeader(flags, seq, ack, *_ENDS[forward])
         interests = 0
-        for nxt, name in self._routes[forward]:
-            if nxt.label in self.down:
+        for label, name in self._routes[forward]:
+            if label in self.down:
                 self.state = TunnelState.CLOSED
-                raise Timeout(f"node {nxt.label} is unreachable")
+                raise Timeout(f"node {label} is unreachable")
             if name is not None:
                 self.interest_log.append(InterestPacket(name, header, payload))
                 interests += 1

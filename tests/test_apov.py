@@ -25,9 +25,9 @@ from minet.apov import (
     append_block_group,
     assemble_group,
     block_digest,
+    block_is_valid,
     cast_validation_votes,
     decode_block_group,
-    default_validity,
     elect_bookkeepers,
     encode_block,
     encode_block_group,
@@ -42,7 +42,7 @@ from minet.apov import (
     validate_block_group,
 )
 
-CFG = ConsensusConfig(n_b=4, n_c=3, n_bc=2, max_txs=100)
+CFG = ConsensusConfig(n_b=4, n_c=3, max_txs=100)
 
 
 def _txs(start, count):
@@ -61,10 +61,9 @@ def _round(chain: Chain, cfg=CFG, *, corrupt_block=None, dissent=()):
             block = Block(block.prev_group_hash, hashlib.sha256(b"x").digest(),
                           block.bookkeeper_key, block.timestamp, block.txs)
         blocks.append(block)
-    policy = default_validity(prev, cfg)
     votes = []
     for voter in range(cfg.n_c):
-        msg = cast_validation_votes(voter, blocks, policy)
+        msg = cast_validation_votes(voter, blocks, prev, cfg)
         if voter in dissent:
             msg = VoteMessage(voter, tuple(
                 BlockVote(v.block_hash, not v.approve, v.voter,
@@ -97,13 +96,12 @@ def test_make_block_enforces_cap():
 
 
 def test_make_block_with_duplicate_ids_is_refused():
-    policy = default_validity(GENESIS_HASH, CFG)
     twice = make_block(0, _txs(0, 3) + _txs(1, 1), GENESIS_HASH,
                        timestamp=1, config=CFG)
     assert twice.merkle == merkle_root([0, 1, 2, 1])
-    assert not policy(twice)
-    assert policy(make_block(0, _txs(0, 3), GENESIS_HASH, timestamp=1,
-                             config=CFG))
+    assert not block_is_valid(twice, GENESIS_HASH, CFG)
+    assert block_is_valid(make_block(0, _txs(0, 3), GENESIS_HASH, timestamp=1,
+                                     config=CFG), GENESIS_HASH, CFG)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 999, 1000])
@@ -117,7 +115,7 @@ def test_id_column_encodes_as_transaction_records(k):
     assert encode_block(column) == encode_block(records)
     assert block_digest(column) == block_digest(records)
     assert column.merkle == records.merkle == merkle_root(ids.tolist())
-    assert default_validity(GENESIS_HASH, cfg)(column)
+    assert block_is_valid(column, GENESIS_HASH, cfg)
 
     group = BlockGroup(genesis_group(0).header, (column,))
     buf = encode_block_group(group)
@@ -198,8 +196,7 @@ def test_tally_requires_total_coverage():
     chain = Chain()
     prev = chain.tip_digest
     blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(CFG.n_b)]
-    policy = default_validity(prev, CFG)
-    votes = [cast_validation_votes(v, blocks, policy) for v in range(CFG.n_c)]
+    votes = [cast_validation_votes(v, blocks, prev, CFG) for v in range(CFG.n_c)]
     common = dict(blocks=blocks, height=1, seed=5, config=CFG, eligible=[0, 1])
     with pytest.raises(IncompleteVotes):
         tally_and_seal(0, votes[:-1], **common)
@@ -214,8 +211,7 @@ def test_seal_deterministic_and_order_invariant():
     chain = Chain()
     prev = chain.tip_digest
     blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(CFG.n_b)]
-    policy = default_validity(prev, CFG)
-    votes = [cast_validation_votes(v, blocks, policy) for v in range(CFG.n_c)]
+    votes = [cast_validation_votes(v, blocks, prev, CFG) for v in range(CFG.n_c)]
     headers = set()
     for perm in itertools.permutations(votes):
         h = tally_and_seal(0, list(perm), blocks, 1, 42, CFG, [0, 1, 2])
@@ -259,7 +255,7 @@ def test_shared_validation_refuses_what_direct_validation_refuses():
     b0 = good.body[0]
     tampered_block = Block(b0.prev_group_hash, b0.merkle, b0.bookkeeper_key,
                            b0.timestamp, (Transaction(999999),) + b0.txs[1:])
-    wider = ConsensusConfig(n_b=4, n_c=4, n_bc=2, max_txs=100)
+    wider = ConsensusConfig(n_b=4, n_c=4, max_txs=100)
     cases = [
         (Chain(), BlockGroup(header, (tampered_block,) + good.body[1:]), CFG),
         (Chain(), BlockGroup(header, good.body[1:]), CFG),

@@ -193,6 +193,51 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "bad --config" in capsys.readouterr().err
 
 
+def _run_with_config(tmp_path, argv, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    return run_command(argv + ["--out", str(tmp_path), "--config", str(cfg)])
+
+
+def test_config_label_goes_through_append_action(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["tunnel-demo"], {
+        "down": "mir1", "mode": "ip-ccn-ip", "payload_bytes": 100}) == 0
+    _, sidecar = read_report(tmp_path, "tunnel_demo")
+    assert sidecar["down_nodes"] == ["mir1"]
+    assert sidecar["timeout"]
+    capsys.readouterr()
+
+
+def test_config_string_goes_through_flag_type(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["tunnel-demo"],
+                            {"payload_bytes": "10"}) == 0
+    rows, sidecar = read_report(tmp_path, "tunnel_demo")
+    assert sidecar["payload_bytes"] == 10
+    assert all(r["digests_match"] == "True" for r in rows)
+    capsys.readouterr()
+
+
+def test_config_node_count_and_fault_list(tmp_path, capsys):
+    # the file's --fault list replaces the command line's, as any key does
+    assert _run_with_config(tmp_path, [
+        "consensus-sim", "--rounds", "3", "--txs-per-block", "50",
+        "--compute-model", "zero", "--fault", "2:crash_at_round:1"],
+        {"nodes": "5", "fault": ["1:crash_at_round:2"]}) == 0
+    rows, sidecar = read_report(tmp_path, "consensus_sim")
+    assert sidecar["config"]["node_count"] == 5
+    assert sidecar["stalled_round"] == 2
+    assert len(rows) == 1
+    capsys.readouterr()
+
+
+def test_config_value_the_flag_rejects_is_usage_error(tmp_path, capsys):
+    assert _run_with_config(tmp_path, ["tunnel-demo"],
+                            {"payload_bytes": "ten"}) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "--payload-bytes" in err
+    assert not (tmp_path / "tunnel_demo.csv").exists()
+
+
 def test_tunnel_demo_all_modes(tmp_path, capsys):
     assert run_command([
         "tunnel-demo", "--out", str(tmp_path),

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from minet.names import ContentName
 from minet.tunnel import (
+    CONN_ID,
     FLAG_ACK,
     FLAG_FIN,
     FLAG_SYN,
@@ -92,12 +93,20 @@ def test_mir_registry_bijection():
 
 
 def test_route_is_fixed_at_connect():
-    for mode in MODES:
-        with pytest.raises(UnknownMir):
-            TunnelConnection(mode, MirRegistry())
     conn = TunnelConnection(TunnelMode.CCN_IP)
     conn.establish()
-    assert conn.interest_log[0].name.text == f"/mir1/{conn.conn_id}"
+    assert conn.conn_id == CONN_ID
+    assert conn.interest_log[0].name.text == f"/mir1/{CONN_ID}"
+
+
+def test_connections_of_a_mode_share_the_planned_routes():
+    for mode in MODES:
+        a, b = TunnelConnection(mode), TunnelConnection(mode)
+        for conn in (a, b):
+            conn.establish()
+        # the Interest names were built once, at import, not per connect
+        assert all(pa.name is pb.name for pa, pb in
+                   zip(a.interest_log, b.interest_log, strict=True))
 
 
 @given(headers, st.one_of(st.none(), st.binary(max_size=300)))
