@@ -27,7 +27,7 @@ import hashlib
 import hmac as hmac_mod
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -155,13 +155,12 @@ class BlockGroup:
 
 @dataclass(frozen=True)
 class ConsensusConfig:
-    n_b: int                     # bookkeeping nodes
     n_c: int                     # consortium (voting) nodes
     max_txs: int = 10_000        # per-block transaction cap
 
     def __post_init__(self) -> None:
-        if self.n_b < 1 or self.n_c < 1:
-            raise ValueError("need at least one bookkeeper and one voter")
+        if self.n_c < 1:
+            raise ValueError("need at least one voter")
         if self.max_txs < 1:
             raise ValueError("max_txs must be positive")
 

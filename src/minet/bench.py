@@ -37,6 +37,9 @@ SCALING_NOTE = ("desk-scale run: one process, synthetic names, in-memory "
                 "wall-clock figures scale with the machine")
 
 ROUTES = ("kernel", "dict")
+DRILL_MAX_LEN = 6            # components per churned name; lookups go 2 deeper
+BUILD_MEAN_ENTRY_LEN = 4.0   # mean components per build-scaling entry
+BUILD_REPEATS = 3            # alternating small/big builds per report
 
 
 class BenchError(ValueError):
@@ -184,7 +187,7 @@ def _reference_lpm(reference: dict[tuple, ForwardingInfo],
 
 def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
                           check_every: int = 1_000, seed: int = 11,
-                          alphabet: int = 32, max_len: int = 6) -> DrillReport:
+                          alphabet: int = 32) -> DrillReport:
     """Churn the table with random upserts/deletes, verify structure at a
     fixed cadence, then cross-check three lookup routes name by name."""
     rng = np.random.default_rng(seed)
@@ -196,7 +199,7 @@ def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
     for i in range(1, operations + 1):
         roll = rng.random()
         if roll < 0.55 or not keys:
-            name = _random_name(rng, alphabet, max_len)
+            name = _random_name(rng, alphabet, DRILL_MAX_LEN)
             fwd = ForwardingInfo(face_id=int(rng.integers(0, 4096)))
             hpt.insert(name, fwd)
             if name.components not in reference:
@@ -212,14 +215,15 @@ def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
         else:
             # deleting an absent name must be a harmless no-op; the "m"
             # component namespace is never inserted, so absence is sure
-            hpt.delete(_random_name(rng, alphabet, max_len, prefix="m"))
+            hpt.delete(_random_name(rng, alphabet, DRILL_MAX_LEN,
+                                    prefix="m"))
         if i % check_every == 0:
             checks += 1
             problems += len(hpt.verify_integrity())
 
     mismatches = 0
     for _ in range(lookups):
-        name = _random_name(rng, alphabet, max_len + 2)
+        name = _random_name(rng, alphabet, DRILL_MAX_LEN + 2)
         got = hpt.lookup_lpm(name)
         oracle = hpt.lookup_oracle(name)
         expect = _reference_lpm(reference, name)
@@ -273,26 +277,24 @@ def _timed_insert(entries) -> float:
 
 
 def measure_build_scaling(small: int = 100_000, big: int = 1_000_000, *,
-                          mean_entry_len: float = 4.0, seed: int = 7,
-                          repeats: int = 3) -> BuildScalingReport:
+                          seed: int = 7) -> BuildScalingReport:
     """Build-time growth from `small` to `big` entries.
 
-    Both tables are populated from slices of one entry stream.  A
-    full-size throwaway build first faults in the allocator arenas, then
-    `repeats` alternating small/big builds run back to back and the
-    medians go into the report, so the ratio reflects table growth
-    rather than process warm-up or scheduling noise.
+    Both tables are populated from slices of one entry stream of mean
+    length BUILD_MEAN_ENTRY_LEN.  A full-size throwaway build first
+    faults in the allocator arenas, then BUILD_REPEATS alternating
+    small/big builds run back to back and the medians go into the
+    report, so the ratio reflects table growth rather than process
+    warm-up or scheduling noise.
     """
     if not 0 < small < big:
         raise BenchError("need 0 < small < big")
-    if repeats < 1:
-        raise BenchError("repeats must be positive")
     entries, _ = workload.generate_entries(WorkloadSpec(
-        entry_count=big, query_count=0, mean_entry_len=mean_entry_len,
+        entry_count=big, query_count=0, mean_entry_len=BUILD_MEAN_ENTRY_LEN,
         seed=seed))
     _timed_insert(entries)
     small_walls, big_walls = [], []
-    for _ in range(repeats):
+    for _ in range(BUILD_REPEATS):
         small_walls.append(_timed_insert(entries[:small]))
         big_walls.append(_timed_insert(entries))
     return BuildScalingReport(

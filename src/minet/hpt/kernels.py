@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "numpy"
+from minet.hpt.fib import EntryState
 
-_STATE_REAL = 0
-_STATE_VIRTUAL = 1
+BACKEND = "numpy"
 
 
 def _probe(fp, table_fp, table_node, mask):
@@ -66,10 +65,10 @@ def lpm_batch(fps, lens, table_fp, table_node, mask, state, parent):
     # climb past non-real ancestors to a real one, or miss at the top (-1).
     rows = np.flatnonzero(last != -1)
     cur, depth = last[rows], last_len[rows]
-    kept = state[cur] != _STATE_VIRTUAL
+    kept = state[cur] != EntryState.VIRTUAL
     rows, cur, depth = rows[kept], cur[kept], depth[kept]
     while rows.size:
-        real = state[cur] == _STATE_REAL
+        real = state[cur] == EntryState.REAL
         done = rows[real]
         hit[done] = 1
         node_out[done] = cur[real]
@@ -92,7 +91,7 @@ def linear_batch(fps, lens, table_fp, table_node, mask, state):
         probes[active] += 1
         found = _probe(fps[active, cur - 1], table_fp, table_node, mask)
         real = found != -1
-        real[real] = state[found[real]] == _STATE_REAL
+        real[real] = state[found[real]] == EntryState.REAL
         done = active[real]
         hit[done] = 1
         node_out[done] = found[real]

@@ -24,7 +24,7 @@ form is what the scaling/throughput curves compose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class ModelParams:
     node_count: int = 3
     bookkeepers: int | None = None       # default: node_count
     voters: int | None = None            # default: node_count - 1
-    dual_role: int | None = None         # nodes in both sets; default voters
     msg_bytes: int = 266                 # fixed per-message envelope
     block_header_bytes: int = 692
     tx_bytes: int = 40
@@ -78,8 +77,6 @@ class ModelParams:
             object.__setattr__(self, "bookkeepers", self.node_count)
         if self.voters is None:
             object.__setattr__(self, "voters", self.node_count - 1)
-        if self.dual_role is None:
-            object.__setattr__(self, "dual_role", min(self.bookkeepers, self.voters))
         for name in ("msg_bytes", "block_header_bytes", "tx_bytes",
                      "txs_per_block", "vote_header_bytes", "vote_per_block_bytes",
                      "result_header_bytes", "result_per_block_bytes"):
@@ -89,13 +86,12 @@ class ModelParams:
             raise ModelError("band must be positive")
         if self.voters < 1 or self.bookkeepers < 1:
             raise ModelError("need at least one bookkeeper and one voter")
-        if not 0 <= self.dual_role <= min(self.bookkeepers, self.voters):
-            raise ModelError("dual_role exceeds a role count")
 
     @property
     def peers(self) -> int:
-        """Distinct nodes a broadcast reaches besides the sender."""
-        return self.bookkeepers + self.voters - self.dual_role - 1
+        """Distinct nodes a broadcast reaches besides the sender: the
+        smaller role set lies within the larger one."""
+        return max(self.bookkeepers, self.voters) - 1
 
 
 # -- structural message sizes and transmission times ---------------------------
@@ -207,47 +203,6 @@ def throughput_limit(n: int | float, speedup: float = 1.0, band: float = 125e6,
     return txs_per_block * n / scaled_consensus_time(n, speedup, band)
 
 
-# -- combined view --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TimingBreakdown:
-    """Every model quantity evaluated at one (params, speedup) point."""
-
-    n: int
-    speedup: float
-    band: float
-    # structural family
-    tran_step_times: tuple[float, float, float]
-    tran_total: float
-    # fitted family
-    comp_step_fits: tuple[float, float, float, float]
-    consensus_fit: float
-    tran_fitted: float
-    comp_residual: float
-    comp_scaled: float
-    consensus_scaled: float
-    throughput: float
-
-
-def breakdown(p: ModelParams, speedup: float = 1.0) -> TimingBreakdown:
-    n = p.node_count
-    steps = transmission_times(p)
-    return TimingBreakdown(
-        n=n,
-        speedup=speedup,
-        band=p.band,
-        tran_step_times=steps,
-        tran_total=sum(steps),
-        comp_step_fits=step_computation_fits(n),
-        consensus_fit=consensus_time_fit(n),
-        tran_fitted=fitted_transmission_time(n, p.band),
-        comp_residual=residual_computation_time(n),
-        comp_scaled=scaled_computation_time(n, speedup),
-        consensus_scaled=scaled_consensus_time(n, speedup, p.band),
-        throughput=throughput_limit(n, speedup, p.band, p.txs_per_block),
-    )
-
-
 def sweep_grid(n_values: Sequence[int], speedups: Sequence[float],
                bands: Sequence[float],
                txs_per_block: int = 10_000) -> Iterator[dict[str, float]]:
@@ -292,18 +247,16 @@ class TransmissionCoefficientReport:
     consistent: bool
 
 
-def transmission_coefficient_report(
-        base: ModelParams | None = None,
-        tolerance: float = 0.05) -> TransmissionCoefficientReport:
+def transmission_coefficient_report() -> TransmissionCoefficientReport:
     """Fit an exact cubic through the structural per-round megabytes at
-    four node counts and compare it with the fitted cubic's coefficients.
+    four node counts under the reference prototype's sizes and compare it
+    with the fitted cubic's coefficients; a linear gap above 5% is
+    inconsistent.
     """
-    proto = base or ModelParams()
     ns = np.array([2.0, 3.0, 4.0, 5.0])
     mb = []
     for n in ns:
-        p = replace(proto, node_count=int(n), bookkeepers=None, voters=None,
-                    dual_role=None)
+        p = ModelParams(node_count=int(n))
         mb.append(transmission_total(p) * p.band / MEGABYTE)
     vander = np.vander(ns, 4)
     coeffs = np.linalg.solve(vander, np.array(mb))
@@ -313,5 +266,5 @@ def transmission_coefficient_report(
         structural=structural,
         fitted=TRANSMISSION_FIT,
         linear_gap_ratio=gap,
-        consistent=gap <= tolerance,
+        consistent=gap <= 0.05,
     )

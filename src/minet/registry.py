@@ -49,6 +49,7 @@ from .hpt import Hpt, NotBound, UnknownContent
 from .names import ContentName, ForwardingInfo, IdKind, Identifier
 
 CACHE_LIMIT = 256
+SUPERVISORS = (0, 1, 2, 3)        # every domain's supervisor node ids
 
 
 class RegistryError(Exception):
@@ -81,7 +82,7 @@ class RegistrationRecord:
     owner: Identifier
     domain: ContentName
     height: int
-    status: str                   # "committed" | "rejected"
+    status: str                   # always "committed"
     tx_id: int
 
 
@@ -101,25 +102,20 @@ class ResolutionResult:
 
 
 class Domain:
-    def __init__(self, name: ContentName, parent: Optional["Domain"] = None,
-                 supervisors: tuple[int, ...] = (0, 1, 2, 3)):
-        if len(supervisors) < 2:
-            raise RegistryError("a domain needs at least two supervisors")
+    def __init__(self, name: ContentName, parent: Optional["Domain"] = None):
         self.name = name
         self.parent = parent
         self.children: list[Domain] = []
-        self.supervisors = tuple(supervisors)
+        self.supervisors = SUPERVISORS
         self.down_supervisors: set[int] = set()
-        self.chain = Chain(first_leader=supervisors[0])
+        self.chain = Chain(first_leader=SUPERVISORS[0])
         self.offchain: dict[Identifier, RegistrationRecord] = {}
         self.fib = Hpt()
         self.cache: dict[Identifier, tuple[RegistrationRecord,
                                            Optional[ForwardingInfo]]] = {}
 
-    def add_child(self, label: str,
-                  supervisors: Optional[tuple[int, ...]] = None) -> "Domain":
-        child = Domain(self.name.child(label), parent=self,
-                       supervisors=supervisors or self.supervisors)
+    def add_child(self, label: str) -> "Domain":
+        child = Domain(self.name.child(label), parent=self)
         self.children.append(child)
         return child
 
@@ -139,9 +135,7 @@ def default_compliance(domain: Domain,
     if request.binds_to is not None:
         if request.identifier.kind is IdKind.CONTENT:
             return "a content identifier cannot bind to another content entry"
-        target = Identifier.content(request.binds_to)
-        rec = domain.offchain.get(target)
-        if rec is None or rec.status != "committed":
+        if Identifier.content(request.binds_to) not in domain.offchain:
             return f"binds_to target {request.binds_to.text} not committed here"
     return None
 
@@ -215,7 +209,7 @@ class Hierarchy:
     def _commit_round(self, domain: Domain, txs: list[Transaction]) -> int:
         """One consensus round among the domain's supervisors: the round
         leader packs the registration block, every supervisor votes."""
-        cfg = ConsensusConfig(n_b=1, n_c=len(domain.supervisors),
+        cfg = ConsensusConfig(n_c=len(domain.supervisors),
                               max_txs=max(64, len(txs)))
         height = domain.chain.height + 1
         prev = domain.chain.tip_digest
@@ -308,21 +302,16 @@ class Hierarchy:
                     yield nxt
                 node = nxt
         queue = deque([self.root])
-        seen = set(visited)
         while queue:
             d = queue.popleft()
             queue.extend(d.children)
-            if d.name in seen or d.name in visited:
-                continue
-            seen.add(d.name)
-            yield d
+            if d.name not in visited:
+                yield d
 
     def _check_domain(self, domain: Domain, ident: Identifier
                       ) -> Optional[tuple[Optional[RegistrationRecord],
                                           Optional[ForwardingInfo]]]:
         record = domain.offchain.get(ident)
-        if record is not None and record.status != "committed":
-            record = None
         forwarding = None
         if ident.kind is IdKind.CONTENT:
             hit = domain.fib.lookup_lpm(ident.value)
@@ -360,8 +349,6 @@ class Hierarchy:
         seen: dict[Identifier, ContentName] = {}
         for domain in self.domains():
             for ident, record in domain.offchain.items():
-                if record.status != "committed":
-                    continue
                 if ident in seen:
                     problems.append(f"{ident.text} committed twice")
                 seen[ident] = domain.name

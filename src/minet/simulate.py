@@ -200,14 +200,12 @@ class _Round:
         self.alive = [x for x in range(n) if not sim.silent_for_round(x, height)]
         self.producers = [x for x in range(n)
                           if not sim.silent_for_blocks(x, height)]
-        self.bookkeepers = list(range(n))
         if self.cfg.leader_in_consortium:
             self.consortium = list(range(n))
         else:
             self.consortium = [x for x in range(n) if x != self.leader]
-        self.rcfg = ConsensusConfig(
-            n_b=len(self.bookkeepers), n_c=len(self.consortium),
-            max_txs=self.cfg.txs_per_block)
+        self.rcfg = ConsensusConfig(n_c=len(self.consortium),
+                                    max_txs=self.cfg.txs_per_block)
         self.prev_digest = sim.chains[0].tip_digest
 
         self.heap: list = []
@@ -250,28 +248,23 @@ class _Round:
         comp1 = self.sim.comp_ns[0]
         ready = self.t0 + comp1
         blocks: dict[int, Block] = {}
-        for idx, b in enumerate(self.bookkeepers):
-            if b not in self.producers:
-                continue
-            blocks[b] = self._build_block(idx, b)
+        for b in self.producers:
+            blocks[b] = self._build_block(b)
             self._take_block(b, b, blocks[b], ready)
         n = self.cfg.node_count
         # slot-major ring stagger: in slot j every live sender pushes to
         # the peer j+1 positions ahead, so each downlink sees at most one
         # transfer per slot and links never idle mid-broadcast
         for j in range(1, n):
-            for b in self.bookkeepers:
-                if b not in blocks:
-                    continue
+            for b, block in blocks.items():
                 recv = (b + j) % n
-                block = blocks[b]
                 self.transfer(b, recv, self.sim.block_bytes, ready,
                               lambda t, b=b, recv=recv, block=block:
                               self._take_block(recv, b, block, t))
 
-    def _build_block(self, idx: int, bookkeeper: int) -> Block:
+    def _build_block(self, bookkeeper: int) -> Block:
         k = self.cfg.txs_per_block
-        base = (self.height * self.cfg.node_count + idx) * k
+        base = (self.height * self.cfg.node_count + bookkeeper) * k
         txs = TxColumn(np.arange(base, base + k, dtype=np.int64),
                        nominal_size=self.cfg.tx_bytes)
         block = make_block(bookkeeper, txs, self.prev_digest,
@@ -285,7 +278,7 @@ class _Round:
     def _take_block(self, node: int, sender: int, block: Block, t: int) -> None:
         held = self.blocks_held[node]
         held[sender] = block
-        if len(held) != self.rcfg.n_b or node in self.all_blocks_t:
+        if len(held) != self.cfg.node_count or node in self.all_blocks_t:
             return
         self.all_blocks_t[node] = t
         if node in self.consortium and node in self.alive:
@@ -296,7 +289,7 @@ class _Round:
 
     def _ordered_blocks(self, node: int) -> list[Block]:
         held = self.blocks_held[node]
-        return [held[b] for b in self.bookkeepers if b in held]
+        return [held[b] for b in sorted(held)]
 
     def _send_vote(self, voter: int) -> None:
         msg = cast_validation_votes(voter, self._ordered_blocks(voter),
@@ -385,13 +378,13 @@ class _Round:
         return max(self.finish_t.values())
 
     def diagnose(self) -> str:
-        incomplete = [x for x in self.alive
-                      if len(self.blocks_held[x]) < self.rcfg.n_b]
+        n = self.cfg.node_count
+        incomplete = [x for x in self.alive if len(self.blocks_held[x]) < n]
         if incomplete:
-            missing = sorted(set(self.bookkeepers) - set(self.producers))
+            missing = sorted(set(range(n)) - set(self.producers))
             held = len(self.blocks_held[incomplete[0]])
             return (f"step 1 incomplete: node {incomplete[0]} holds {held} of "
-                    f"{self.rcfg.n_b} blocks (silent bookkeepers {missing})")
+                    f"{n} blocks (silent bookkeepers {missing})")
         if self.leader not in self.alive:
             return f"leader {self.leader} silent: header never sealed"
         if len(self.votes) < self.rcfg.n_c:

@@ -17,12 +17,12 @@ per segment in the reverse direction (stop-and-wait), since the
 underlying fabric offers no reliability of its own.
 
 Everything that depends only on the mode is planned once, at import:
-its chain of nodes, with every gateway registered in REGISTRY, and for
-each direction the next node of every hop and, on CCN segments, the
-Interest name it carries.  Every connection runs between 10.0.0.1:40001
-and 10.0.0.2:80, so all share CONN_ID and the planned routes, and keep
-only their own state.  Everything runs in-process; a node a connection
-is told is down surfaces as a Timeout and it folds back to Closed.
+its chain of nodes and, for each direction, the next node of every hop
+and, on CCN segments, the Interest name it carries.  Every connection
+runs between 10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID and
+the planned routes, and keep only their own state.  Everything runs
+in-process; a node a connection is told is down surfaces as a Timeout
+and it folds back to Closed.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ SEGMENT_SIZE = 4096
 
 
 class TunnelError(Exception):
-    pass
-
-
-class UnknownMir(TunnelError):
     pass
 
 
@@ -113,46 +109,6 @@ class SignalingHeader:
         return SignalingHeader(flags, seq, ack,
                                str(ipaddress.IPv4Address(src)),
                                str(ipaddress.IPv4Address(dst)), sp, dp)
-
-
-@dataclass(frozen=True)
-class MirName:
-    """A conversion gateway's name, mapped one-to-one to its address."""
-    ccn_prefix: ContentName
-    ip: str
-
-    def __post_init__(self) -> None:
-        _ipv4(self.ip)
-
-
-class MirRegistry:
-    """Bijective prefix <-> address directory of conversion gateways."""
-
-    def __init__(self) -> None:
-        self._by_prefix: dict[ContentName, MirName] = {}
-        self._by_ip: dict[str, MirName] = {}
-
-    def register(self, mir: MirName) -> None:
-        existing = self._by_prefix.get(mir.ccn_prefix)
-        if existing is not None and existing != mir:
-            raise ValueError(f"prefix {mir.ccn_prefix} already mapped")
-        existing = self._by_ip.get(mir.ip)
-        if existing is not None and existing != mir:
-            raise ValueError(f"address {mir.ip} already mapped")
-        self._by_prefix[mir.ccn_prefix] = mir
-        self._by_ip[mir.ip] = mir
-
-    def by_prefix(self, prefix: ContentName) -> MirName:
-        try:
-            return self._by_prefix[prefix]
-        except KeyError:
-            raise UnknownMir(f"no gateway with prefix {prefix}") from None
-
-    def by_ip(self, ip: str) -> MirName:
-        try:
-            return self._by_ip[ip]
-        except KeyError:
-            raise UnknownMir(f"no gateway at {ip}") from None
 
 
 @dataclass(frozen=True)
@@ -242,7 +198,6 @@ class TunnelState(Enum):
 @dataclass(frozen=True)
 class ChainNode:
     label: str
-    ip: str
     prefix: Optional[ContentName] = None
 
 
@@ -269,8 +224,6 @@ class TransferReport:
         return self.digest_sent == self.digest_received
 
 
-REGISTRY = MirRegistry()
-
 # every connection runs from endpoint A's port to endpoint B's
 A_IP, A_PORT = "10.0.0.1", 40001
 B_IP, B_PORT = "10.0.0.2", 80
@@ -283,16 +236,14 @@ _ENDS = {True: (A_IP, B_IP, A_PORT, B_PORT),
 
 def _build_chain(mode: TunnelMode) -> tuple[ChainNode, ...]:
     """Endpoints at the ends, one gateway per segment boundary; gateway i
-    is /mir<i> at 10.0.1.<i> in every mode, so all share REGISTRY."""
+    is /mir<i> in every mode."""
     segments = mode.segments
     # endpoints on a CCN segment are named nodes themselves
-    nodes = [ChainNode("A", A_IP, ContentName.parse(
+    nodes = [ChainNode("A", ContentName.parse(
         "/host/a") if segments[0] == "ccn" else None)]
     for i in range(1, len(segments)):
-        mir = MirName(ContentName.parse(f"/mir{i}"), f"10.0.1.{i}")
-        REGISTRY.register(mir)
-        nodes.append(ChainNode(f"mir{i}", mir.ip, mir.ccn_prefix))
-    nodes.append(ChainNode("B", B_IP, ContentName.parse(
+        nodes.append(ChainNode(f"mir{i}", ContentName.parse(f"/mir{i}")))
+    nodes.append(ChainNode("B", ContentName.parse(
         "/host/b") if segments[-1] == "ccn" else None))
     return tuple(nodes)
 

@@ -42,7 +42,8 @@ from minet.apov import (
     validate_block_group,
 )
 
-CFG = ConsensusConfig(n_b=4, n_c=3, max_txs=100)
+N_B = 4  # bookkeepers per round
+CFG = ConsensusConfig(n_c=3, max_txs=100)
 
 
 def _txs(start, count):
@@ -54,7 +55,7 @@ def _round(chain: Chain, cfg=CFG, *, corrupt_block=None, dissent=()):
     prev = chain.tip_digest
     height = chain.height + 1
     blocks = []
-    for b in range(cfg.n_b):
+    for b in range(N_B):
         txs = _txs(1000 * height + 100 * b, 5)
         block = make_block(b, txs, prev, timestamp=height, config=cfg)
         if corrupt_block == b:
@@ -106,7 +107,7 @@ def test_make_block_with_duplicate_ids_is_refused():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 999, 1000])
 def test_id_column_encodes_as_transaction_records(k):
-    cfg = ConsensusConfig(n_b=1, n_c=1, max_txs=1000)
+    cfg = ConsensusConfig(n_c=1, max_txs=1000)
     ids = np.arange(k, dtype=np.int64) + (2**62 - 500)
     column = make_block(5, TxColumn(ids, nominal_size=40), GENESIS_HASH,
                         timestamp=9, config=cfg)
@@ -156,7 +157,7 @@ def test_full_round_seals_and_appends():
     assert header.leader == 1
     assert all(yes == CFG.n_c and no == 0 for _, yes, no in header.tally)
     group = assemble_group(header, blocks)
-    assert len(group.body) == CFG.n_b
+    assert len(group.body) == N_B
     assert validate_block_group(group, CFG, chain.tip_digest) == []
     chain.append(group, CFG)
     assert chain.height == 1
@@ -170,7 +171,7 @@ def test_corrupt_block_voted_out():
     tally = dict((h, (yes, no)) for h, yes, no in header.tally)
     assert tally[bad_hash] == (0, CFG.n_c)
     group = assemble_group(header, blocks)
-    assert len(group.body) == CFG.n_b - 1
+    assert len(group.body) == N_B - 1
     assert bad_hash not in [block_digest(b) for b in group.body]
     assert validate_block_group(group, CFG, chain.tip_digest) == []
     chain.append(group, CFG)
@@ -178,14 +179,14 @@ def test_corrupt_block_voted_out():
 
 def test_majority_boundaries():
     # n_c=3: 2 approvals pass, 1 fails; n_c=4: 3 pass, 2 fail (strict majority)
-    assert ConsensusConfig(n_b=1, n_c=3).majority(2)
-    assert not ConsensusConfig(n_b=1, n_c=3).majority(1)
-    assert ConsensusConfig(n_b=1, n_c=4).majority(3)
-    assert not ConsensusConfig(n_b=1, n_c=4).majority(2)
+    assert ConsensusConfig(n_c=3).majority(2)
+    assert not ConsensusConfig(n_c=3).majority(1)
+    assert ConsensusConfig(n_c=4).majority(3)
+    assert not ConsensusConfig(n_c=4).majority(2)
     chain = Chain()
     header, blocks, _ = _round(chain, dissent=(0,))       # 2 of 3 approve
     group = assemble_group(header, blocks)
-    assert len(group.body) == CFG.n_b
+    assert len(group.body) == N_B
     header2, blocks2, _ = _round(chain, dissent=(0, 2))   # 1 of 3 approve
     group2 = assemble_group(header2, blocks2)
     assert group2.body == ()
@@ -195,7 +196,7 @@ def test_majority_boundaries():
 def test_tally_requires_total_coverage():
     chain = Chain()
     prev = chain.tip_digest
-    blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(CFG.n_b)]
+    blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(N_B)]
     votes = [cast_validation_votes(v, blocks, prev, CFG) for v in range(CFG.n_c)]
     common = dict(blocks=blocks, height=1, seed=5, config=CFG, eligible=[0, 1])
     with pytest.raises(IncompleteVotes):
@@ -210,7 +211,7 @@ def test_tally_requires_total_coverage():
 def test_seal_deterministic_and_order_invariant():
     chain = Chain()
     prev = chain.tip_digest
-    blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(CFG.n_b)]
+    blocks = [make_block(b, _txs(100 * b, 3), prev, 1, CFG) for b in range(N_B)]
     votes = [cast_validation_votes(v, blocks, prev, CFG) for v in range(CFG.n_c)]
     headers = set()
     for perm in itertools.permutations(votes):
@@ -255,7 +256,7 @@ def test_shared_validation_refuses_what_direct_validation_refuses():
     b0 = good.body[0]
     tampered_block = Block(b0.prev_group_hash, b0.merkle, b0.bookkeeper_key,
                            b0.timestamp, (Transaction(999999),) + b0.txs[1:])
-    wider = ConsensusConfig(n_b=4, n_c=4, max_txs=100)
+    wider = ConsensusConfig(n_c=4, max_txs=100)
     cases = [
         (Chain(), BlockGroup(header, (tampered_block,) + good.body[1:]), CFG),
         (Chain(), BlockGroup(header, good.body[1:]), CFG),

@@ -7,7 +7,6 @@ from minet.perfmodel import (
     ModelError,
     ModelParams,
     block_message_bytes,
-    breakdown,
     consensus_time_fit,
     fitted_transmission_mb,
     fitted_transmission_time,
@@ -39,8 +38,10 @@ def test_structural_transmission_hand_values():
     assert t1 == pytest.approx(2 * 400_958 / 125e6, rel=0, abs=0)
     assert t2 == pytest.approx(2 * 966 / 125e6, rel=0, abs=0)
     assert t3 == pytest.approx(2 * 3036 / 125e6, rel=0, abs=0)
-    # additivity is exact, not approximate
+    # additivity is exact, not approximate, at any bandwidth
     assert transmission_total(p) == t1 + t2 + t3
+    wide = ModelParams(node_count=5, band=250e6)
+    assert transmission_total(wide) == sum(transmission_times(wide))
 
 
 def test_fitted_round_time_hand_value():
@@ -77,6 +78,9 @@ def test_scaling_surcharge_matches_step_fits():
 def test_scaled_computation_hand_values():
     assert scaled_computation_time(3, 1.0) == pytest.approx(0.18025350, rel=1e-7)
     assert scaled_consensus_time(3, 1.0, 125e6) == pytest.approx(0.18547270, rel=1e-7)
+    # the round is scaled computation plus fitted transmission
+    assert scaled_consensus_time(5, 2.0, 250e6) == pytest.approx(
+        scaled_computation_time(5, 2.0) + fitted_transmission_time(5, 250e6))
     # doubling compute speed exactly halves the computation share
     for n in (3, 10, 50):
         assert scaled_computation_time(n, 2.0) == scaled_computation_time(n, 1.0) / 2
@@ -88,6 +92,9 @@ def test_throughput_hand_values():
     # the fitted scaling curve sits below the measurement as printed.
     assert throughput_limit(3, 1.0, 125e6) == pytest.approx(161748.87, rel=1e-6)
     assert throughput_limit(8, 1.0, 125e6) == pytest.approx(277730.46, rel=1e-6)
+    # every node's block commits once per scaled round
+    assert throughput_limit(5, 2.0, 250e6) == pytest.approx(
+        10_000 * 5 / scaled_consensus_time(5, 2.0, 250e6))
 
 
 def test_throughput_monotone_in_speedup_and_band():
@@ -130,17 +137,6 @@ def test_coefficient_report_flags_linear_gap():
     assert fitted_transmission_mb(3) == pytest.approx(0.6524, rel=1e-9)
 
 
-def test_breakdown_consistency():
-    p = ModelParams(node_count=5, band=250e6)
-    b = breakdown(p, speedup=2.0)
-    assert b.n == 5 and b.band == 250e6 and b.speedup == 2.0
-    assert b.tran_total == sum(b.tran_step_times)
-    assert b.consensus_scaled == pytest.approx(b.comp_scaled + b.tran_fitted)
-    assert b.throughput == pytest.approx(10_000 * 5 / b.consensus_scaled)
-    assert b.comp_residual == pytest.approx(b.consensus_fit
-                                            - fitted_transmission_time(5, 125e6))
-
-
 def test_sweep_grid_shape_and_content():
     rows = list(sweep_grid([3, 4], [1.0, 2.0], [125e6]))
     assert len(rows) == 4
@@ -160,14 +156,15 @@ def test_param_validation():
     with pytest.raises(ModelError):
         ModelParams(node_count=3, tx_bytes=0)
     with pytest.raises(ModelError):
-        ModelParams(node_count=3, dual_role=5)
-    with pytest.raises(ModelError):
         scaled_computation_time(3, 0.0)
 
 
 def test_role_defaults_mirror_prototype():
     p = ModelParams(node_count=6)
-    assert p.bookkeepers == 6 and p.voters == 5 and p.dual_role == 5
+    assert p.bookkeepers == 6 and p.voters == 5
     assert p.peers == 5
-    explicit = ModelParams(node_count=6, bookkeepers=6, voters=6, dual_role=6)
-    assert explicit.peers == 5
+    # nodes 0..b-1 bookkeep and 0..v-1 vote: peers are the union less one
+    for b in range(1, 9):
+        for v in range(1, 9):
+            p = ModelParams(node_count=8, bookkeepers=b, voters=v)
+            assert p.peers == len(set(range(b)) | set(range(v))) - 1

@@ -146,12 +146,16 @@ def test_ip_binding_resolves_only_where_bound():
 
 def test_not_found_exhausts_tree_with_nonempty_hops():
     hier = Hierarchy.default()
-    res = hier.resolve("/top/cn/gd", Identifier.content("/no/such/thing"))
-    assert res.outcome is ResolutionOutcome.NOT_FOUND
-    texts = [h.text for h in res.hops]
-    assert texts[0] == "/top/cn/gd"
-    assert len(texts) == 11 and len(set(texts)) == 11
-    assert "not found" in res.message
+    # the second name carries a domain path, so directed descent runs
+    # before the breadth-first walk and the two must not overlap
+    for origin in [d.name.text for d in hier.domains()]:
+        for unknown in ("/no/such/thing", "/top/eu/fr/none"):
+            res = hier.resolve(origin, Identifier.content(unknown))
+            assert res.outcome is ResolutionOutcome.NOT_FOUND
+            texts = [h.text for h in res.hops]
+            assert texts[0] == origin
+            assert len(texts) == 11 and len(set(texts)) == 11
+            assert "not found" in res.message
 
 
 def test_consensus_failure_leaves_no_trace():

@@ -13,8 +13,6 @@ from minet.tunnel import (
     FLAG_SYN,
     InterestPacket,
     InvalidState,
-    MirName,
-    MirRegistry,
     SIGNAL_WIRE_SIZE,
     SignalingHeader,
     Timeout,
@@ -23,7 +21,6 @@ from minet.tunnel import (
     TunnelError,
     TunnelMode,
     TunnelState,
-    UnknownMir,
     flag_names,
     read_interest_log,
     run_scenario,
@@ -71,25 +68,6 @@ def test_flag_names():
     assert flag_names(FLAG_SYN | FLAG_ACK) == "SYN+ACK"
     assert flag_names(FLAG_FIN) == "FIN"
     assert flag_names(0) == "DATA"
-
-
-def test_mir_registry_bijection():
-    reg = MirRegistry()
-    m1 = MirName(ContentName.parse("/mir1"), "10.0.1.1")
-    reg.register(m1)
-    reg.register(m1)  # same mapping is idempotent
-    assert reg.by_prefix(m1.ccn_prefix) == m1
-    assert reg.by_ip("10.0.1.1") == m1
-    # prefix -> address -> prefix is the identity
-    assert reg.by_ip(reg.by_prefix(m1.ccn_prefix).ip).ccn_prefix == m1.ccn_prefix
-    with pytest.raises(ValueError):
-        reg.register(MirName(ContentName.parse("/mir1"), "10.0.1.9"))
-    with pytest.raises(ValueError):
-        reg.register(MirName(ContentName.parse("/other"), "10.0.1.1"))
-    with pytest.raises(UnknownMir):
-        reg.by_prefix(ContentName.parse("/nope"))
-    with pytest.raises(UnknownMir):
-        reg.by_ip("10.9.9.9")
 
 
 def test_route_is_fixed_at_connect():
