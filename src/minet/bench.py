@@ -190,6 +190,10 @@ def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
                           alphabet: int = 32) -> DrillReport:
     """Churn the table with random upserts/deletes, verify structure at a
     fixed cadence, then cross-check three lookup routes name by name."""
+    if operations < 0 or lookups < 0:
+        raise BenchError("operations and lookups must not be negative")
+    if check_every < 1:
+        raise BenchError("check_every must be at least 1")
     rng = np.random.default_rng(seed)
     hpt = Hpt()
     reference: dict[tuple, ForwardingInfo] = {}

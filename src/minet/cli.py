@@ -357,10 +357,13 @@ def _parse_faults(specs: list[str]) -> tuple[simulate.FaultSpec, ...]:
         if len(parts) not in (2, 3):
             raise simulate.ConfigInvalid(
                 f"fault {spec!r} is not NODE:BEHAVIOR[:ROUND]")
-        node = int(parts[0])
-        behavior = parts[1]
-        rnd = int(parts[2]) if len(parts) == 3 else None
-        out.append(simulate.FaultSpec(node, behavior, rnd))
+        try:
+            node = int(parts[0])
+            rnd = int(parts[2]) if len(parts) == 3 else None
+        except ValueError:
+            raise simulate.ConfigInvalid(
+                f"fault {spec!r}: NODE and ROUND must be integers") from None
+        out.append(simulate.FaultSpec(node, parts[1], rnd))
     return tuple(out)
 
 

@@ -8,7 +8,8 @@ receiver's downlink.  Message sizes are nominal accounting values from
 the size parameters; the structures that actually flow carry real
 digests and signatures so chain agreement is checked end to end.
 
-A round walks four steps, each gated on message completeness:
+A round walks four steps, each started only once the previous one is
+complete:
 
 1. every bookkeeper packs a block and broadcasts it (ring-staggered
    slot order, so concurrent broadcasts never idle a link);
@@ -18,24 +19,27 @@ A round walks four steps, each gated on message completeness:
    from the round's seed, and broadcasts the header;
 4. every node assembles the group, validates it, and appends.
 
-Rounds are barrier-synchronized: a new round starts once every live
-node has appended the previous group.  Computation delays come from
-fitted per-step curves (see `minet.perfmodel`); virtual time is integer
+Each step is one loop of link reservations.  Links are FIFO in
+reservation order, so reserving a step's transfers in the order they
+become ready gives each the times an event-driven replay would.  Rounds
+are barrier-synchronized: a new round starts once every node has
+appended the previous group.  Computation delays come from fitted
+per-step curves (see `minet.perfmodel`); virtual time is integer
 nanoseconds, so identical configs replay bit-identically.
 
-A crash is a mid-round failure: the node's block for its crash round
-was already queued when it died, but its voting, sealing, and storing
-duties are lost from that round onward, and later rounds see nothing
-from it at all.  Any step left incomplete stalls the round with a
-diagnostic — the round is flagged, never silently recovered.
+A crash at round r silences the node from round r onward.  Every node
+is that round's leader or one of its voters, so round r stalls: with
+"header never sealed" when the leader crashed, else with the voters
+whose votes are missing.  A round whose group some node refuses stalls
+too.  A stalled round ends the run with a diagnostic — it is flagged,
+never silently recovered.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -73,7 +77,7 @@ class UnknownNode(ConfigInvalid):
 class FaultSpec:
     node: int
     behavior: str
-    round: Optional[int] = None     # first affected round (crash only)
+    round: Optional[int] = None     # crash round (crash_at_round only)
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,8 @@ class SimConfig:
                 raise ConfigInvalid(f"unknown fault behavior {f.behavior!r}")
             if f.behavior == "crash_at_round" and (f.round is None or f.round < 1):
                 raise ConfigInvalid("crash_at_round needs a positive round")
+            if f.behavior != "crash_at_round" and f.round is not None:
+                raise ConfigInvalid(f"{f.behavior} takes no round")
 
     @staticmethod
     def from_dict(data: dict) -> "SimConfig":
@@ -188,7 +194,7 @@ def _compute_durations_ns(model: str, n: int) -> tuple[int, int, int, int]:
 
 
 class _Round:
-    """One consensus round driven by a timed-event priority queue."""
+    """One consensus round as four straight-line steps."""
 
     def __init__(self, sim: "_Sim", height: int, t0: int):
         self.sim = sim
@@ -197,9 +203,6 @@ class _Round:
         self.t0 = t0
         n = self.cfg.node_count
         self.leader = sim.chains[0].next_leader
-        self.alive = [x for x in range(n) if not sim.silent_for_round(x, height)]
-        self.producers = [x for x in range(n)
-                          if not sim.silent_for_blocks(x, height)]
         if self.cfg.leader_in_consortium:
             self.consortium = list(range(n))
         else:
@@ -207,60 +210,84 @@ class _Round:
         self.rcfg = ConsensusConfig(n_c=len(self.consortium),
                                     max_txs=self.cfg.txs_per_block)
         self.prev_digest = sim.chains[0].tip_digest
+        self.metrics: Optional[RoundMetrics] = None
+        self.end = t0
 
-        self.heap: list = []
-        self.seq = 0
-        self.blocks_held: dict[int, dict[int, Block]] = {x: {} for x in range(n)}
-        self.all_blocks_t: dict[int, int] = {}
-        self.votes: list[VoteMessage] = []
-        self.votes_seen: set[int] = set()
-        self.votes_complete_t: Optional[int] = None
-        self.header = None
-        self.header_t: dict[int, int] = {}
-        self.finish_t: dict[int, int] = {}
-        self.committed = 0
-        self.refusals: list[str] = []
+    def run(self) -> str:
+        """Play the round; return why it stalled, or "" once every node
+        stored the group (then `metrics` and `end` hold the outcome)."""
+        sim, n, comp = self.sim, self.cfg.node_count, self.sim.comp_ns
+        crashed = sorted(x for x, r in sim.crash_round.items()
+                         if r <= self.height)
+        if self.leader in crashed:
+            return f"leader {self.leader} silent: header never sealed"
+        if crashed:
+            # every node is the leader or a voter, so each crash here is
+            # a lost vote
+            return (f"IncompleteVotes: leader {self.leader} holds "
+                    f"{self.rcfg.n_c - len(crashed)} of {self.rcfg.n_c} "
+                    f"vote messages (missing voters {crashed})")
 
-    # -- engine ------------------------------------------------------------
-
-    def push(self, t: int, fn: Callable[[], None]) -> None:
-        heapq.heappush(self.heap, (t, self.seq, fn))
-        self.seq += 1
-
-    def transfer(self, src: int, dst: int, nbytes: int, ready: int,
-                 fn: Callable[[int], None]) -> None:
-        """Reserve both link ends, deliver at the transfer's end time."""
-        start = max(ready, self.sim.up_free[src], self.sim.down_free[dst])
-        end = start + nbytes * NS // self.sim.band
-        self.sim.up_free[src] = end
-        self.sim.down_free[dst] = end
-        self.push(end, lambda: fn(end))
-
-    def run(self) -> None:
-        self._start_step1()
-        while self.heap:
-            _, _, fn = heapq.heappop(self.heap)
-            fn()
-
-    # -- step 1: block production and broadcast ------------------------------
-
-    def _start_step1(self) -> None:
-        comp1 = self.sim.comp_ns[0]
-        ready = self.t0 + comp1
-        blocks: dict[int, Block] = {}
-        for b in self.producers:
-            blocks[b] = self._build_block(b)
-            self._take_block(b, b, blocks[b], ready)
-        n = self.cfg.node_count
-        # slot-major ring stagger: in slot j every live sender pushes to
-        # the peer j+1 positions ahead, so each downlink sees at most one
+        # step 1: every bookkeeper packs a block and broadcasts it
+        ready = self.t0 + comp[0]
+        blocks = [self._build_block(b) for b in range(n)]
+        # (end, slot, sender) of the last block each node receives: the
+        # order in which the nodes come to hold every block
+        last = [(ready, 0, 0)] * n
+        # slot-major ring stagger: in slot j every sender pushes to the
+        # peer j positions ahead, so each downlink sees at most one
         # transfer per slot and links never idle mid-broadcast
         for j in range(1, n):
-            for b, block in blocks.items():
+            for b in range(n):
                 recv = (b + j) % n
-                self.transfer(b, recv, self.sim.block_bytes, ready,
-                              lambda t, b=b, recv=recv, block=block:
-                              self._take_block(recv, b, block, t))
+                end = sim.reserve(b, recv, sim.block_bytes, ready)
+                last[recv] = (end, j, b)
+        t1_end = max(last)[0]
+
+        # step 2: each voter validates every block and votes to the leader
+        votes: list[VoteMessage] = []
+        t2_end = 0
+        for voter in sorted(self.consortium, key=last.__getitem__):
+            votes.append(self._vote(voter, blocks))
+            ready = last[voter][0] + comp[1]
+            # a leader voting in its own round hands its message over
+            # locally; no link time is spent
+            if voter != self.leader:
+                ready = sim.reserve(voter, self.leader, sim.vote_bytes, ready)
+            t2_end = max(t2_end, ready)
+
+        # step 3: the leader tallies, seals and broadcasts the header
+        t_seal = t2_end + comp[2]
+        header = tally_and_seal(
+            self.leader, votes, blocks, self.height,
+            round_seed(self.cfg.seed, self.height), self.rcfg,
+            eligible=list(range(n)))
+        ring = [(self.leader + j) % n for j in range(1, n)]
+        t3_end = t_seal
+        for recv in ring:
+            t3_end = sim.reserve(self.leader, recv, sim.result_bytes, t_seal)
+
+        # step 4: every node assembles, validates and appends, in header
+        # arrival order
+        refusals = []
+        for node in [self.leader] + ring:
+            group = assemble_group(header, blocks)
+            try:
+                sim.chains[node].append(group, self.rcfg)
+            except ChainError as exc:
+                refusals.append(f"node {node} refused group: {exc}")
+        if refusals:
+            return "; ".join(refusals)
+        self.end = t3_end + comp[3]
+        t1 = (t1_end - self.t0) / NS
+        t2 = (t2_end - t1_end) / NS
+        t3 = (t3_end - t2_end) / NS
+        t4 = (self.end - t3_end) / NS
+        tips = {chain.tip_digest for chain in sim.chains}
+        self.metrics = RoundMetrics(
+            self.height, t1, t2, t3, t4, t1 + t2 + t3 + t4,
+            sum(len(b.txs) for b in group.body), forked=len(tips) > 1)
+        return ""
 
     def _build_block(self, bookkeeper: int) -> Block:
         k = self.cfg.txs_per_block
@@ -269,133 +296,20 @@ class _Round:
                        nominal_size=self.cfg.tx_bytes)
         block = make_block(bookkeeper, txs, self.prev_digest,
                            timestamp=self.t0, config=self.rcfg)
-        if self.sim.invalid_nodes and bookkeeper in self.sim.invalid_nodes:
+        if bookkeeper in self.sim.invalid_nodes:
             block = Block(block.prev_group_hash,
                           b"\xff" * 32, block.bookkeeper_key,
                           block.timestamp, block.txs)
         return block
 
-    def _take_block(self, node: int, sender: int, block: Block, t: int) -> None:
-        held = self.blocks_held[node]
-        held[sender] = block
-        if len(held) != self.cfg.node_count or node in self.all_blocks_t:
-            return
-        self.all_blocks_t[node] = t
-        if node in self.consortium and node in self.alive:
-            self.push(t + self.sim.comp_ns[1],
-                      lambda node=node: self._send_vote(node))
-
-    # -- step 2: voting ------------------------------------------------------
-
-    def _ordered_blocks(self, node: int) -> list[Block]:
-        held = self.blocks_held[node]
-        return [held[b] for b in sorted(held)]
-
-    def _send_vote(self, voter: int) -> None:
-        msg = cast_validation_votes(voter, self._ordered_blocks(voter),
-                                    self.prev_digest, self.rcfg)
+    def _vote(self, voter: int, blocks: list[Block]) -> VoteMessage:
+        msg = cast_validation_votes(voter, blocks, self.prev_digest, self.rcfg)
         if voter in self.sim.dissent_nodes:
             msg = VoteMessage(voter, tuple(
                 BlockVote(v.block_hash, not v.approve, v.voter,
                           sign_vote(v.voter, v.block_hash, not v.approve))
                 for v in msg.votes))
-        ready = self.all_blocks_t[voter] + self.sim.comp_ns[1]
-        if voter == self.leader:
-            # a leader voting in its own round hands its message over
-            # locally; no link time is spent
-            self.push(ready, lambda: self._take_vote(msg, ready))
-        else:
-            self.transfer(voter, self.leader, self.sim.vote_bytes, ready,
-                          lambda t, msg=msg: self._take_vote(msg, t))
-
-    def _take_vote(self, msg: VoteMessage, t: int) -> None:
-        if self.leader not in self.alive:
-            return
-        if msg.voter in self.votes_seen:
-            return
-        self.votes_seen.add(msg.voter)
-        self.votes.append(msg)
-        if len(self.votes) == self.rcfg.n_c:
-            self.votes_complete_t = t
-            self.push(t + self.sim.comp_ns[2], self._seal)
-
-    # -- step 3: seal and result broadcast ------------------------------------
-
-    def _seal(self) -> None:
-        t_seal = self.votes_complete_t + self.sim.comp_ns[2]
-        seed = round_seed(self.cfg.seed, self.height)
-        self.header = tally_and_seal(
-            self.leader, self.votes, self._ordered_blocks(self.leader),
-            self.height, seed, self.rcfg,
-            eligible=list(range(self.cfg.node_count)))
-        self.header_t[self.leader] = t_seal
-        self.push(t_seal + self.sim.comp_ns[3],
-                  lambda: self._finish(self.leader, t_seal))
-        n = self.cfg.node_count
-        for j in range(1, n):
-            recv = (self.leader + j) % n
-            self.transfer(self.leader, recv, self.sim.result_bytes, t_seal,
-                          lambda t, recv=recv: self._take_header(recv, t))
-
-    def _take_header(self, node: int, t: int) -> None:
-        if node not in self.alive:
-            return
-        self.header_t[node] = t
-        self.push(t + self.sim.comp_ns[3], lambda: self._finish(node, t))
-
-    # -- step 4: assemble, validate, append --------------------------------------
-
-    def _finish(self, node: int, header_t: int) -> None:
-        group = assemble_group(self.header, self._ordered_blocks(node))
-        try:
-            self.sim.chains[node].append(group, self.rcfg)
-        except ChainError as exc:
-            self.refusals.append(f"node {node} refused group: {exc}")
-            return
-        self.finish_t[node] = header_t + self.sim.comp_ns[3]
-        if node == 0 or (0 not in self.alive and node == min(self.alive)):
-            self.committed = sum(len(b.txs) for b in group.body)
-
-    # -- outcome -------------------------------------------------------------
-
-    def complete(self) -> bool:
-        return not self.refusals and all(x in self.finish_t for x in self.alive)
-
-    def metrics(self) -> RoundMetrics:
-        t1_end = max(self.all_blocks_t[x] for x in self.alive)
-        t2_end = self.votes_complete_t
-        t3_end = max(self.header_t[x] for x in self.alive)
-        t4_end = max(self.finish_t[x] for x in self.alive)
-        t1 = (t1_end - self.t0) / NS
-        t2 = (t2_end - t1_end) / NS
-        t3 = (t3_end - t2_end) / NS
-        t4 = (t4_end - t3_end) / NS
-        tips = {self.sim.chains[x].tip_digest for x in self.alive}
-        return RoundMetrics(self.height, t1, t2, t3, t4, t1 + t2 + t3 + t4,
-                            self.committed, forked=len(tips) > 1)
-
-    def end_time(self) -> int:
-        return max(self.finish_t.values())
-
-    def diagnose(self) -> str:
-        n = self.cfg.node_count
-        incomplete = [x for x in self.alive if len(self.blocks_held[x]) < n]
-        if incomplete:
-            missing = sorted(set(range(n)) - set(self.producers))
-            held = len(self.blocks_held[incomplete[0]])
-            return (f"step 1 incomplete: node {incomplete[0]} holds {held} of "
-                    f"{n} blocks (silent bookkeepers {missing})")
-        if self.leader not in self.alive:
-            return f"leader {self.leader} silent: header never sealed"
-        if len(self.votes) < self.rcfg.n_c:
-            missing = sorted(set(self.consortium) - self.votes_seen)
-            return (f"IncompleteVotes: leader {self.leader} holds "
-                    f"{len(self.votes)} of {self.rcfg.n_c} vote messages "
-                    f"(missing voters {missing})")
-        if self.refusals:
-            return "; ".join(self.refusals)
-        waiting = sorted(set(self.alive) - set(self.finish_t))
-        return f"step 4 incomplete: nodes {waiting} never stored the group"
+        return msg
 
 
 class _Sim:
@@ -430,15 +344,14 @@ class _Sim:
         self.vote_bytes = perfmodel.vote_message_bytes(sizes)
         self.result_bytes = perfmodel.result_message_bytes(sizes)
 
-    def silent_for_round(self, node: int, height: int) -> bool:
-        """Voting/sealing/storing lost from the crash round onward."""
-        r = self.crash_round.get(node)
-        return r is not None and height >= r
-
-    def silent_for_blocks(self, node: int, height: int) -> bool:
-        """The crash-round block was already queued; later ones are not."""
-        r = self.crash_round.get(node)
-        return r is not None and height > r
+    def reserve(self, src: int, dst: int, nbytes: int, ready: int) -> int:
+        """Reserve the sender's uplink and the receiver's downlink together
+        for one transfer ready at `ready`; return its end time."""
+        start = max(ready, self.up_free[src], self.down_free[dst])
+        end = start + nbytes * NS // self.band
+        self.up_free[src] = end
+        self.down_free[dst] = end
+        return end
 
 
 def run_rounds(config: SimConfig) -> SimResult:
@@ -452,17 +365,16 @@ def run_rounds(config: SimConfig) -> SimResult:
 
     for height in range(1, config.rounds + 1):
         rnd = _Round(sim, height, clock)
-        rnd.run()
-        if not rnd.complete():
+        stall_reason = rnd.run()
+        if stall_reason:
             stalled_round = height
-            stall_reason = rnd.diagnose()
             break
-        m = rnd.metrics()
+        m = rnd.metrics
         rounds.append(m)
         committed_total += m.committed_txs
         if m.forked:
             divergences += 1
-        clock = rnd.end_time()
+        clock = rnd.end
 
     total_seconds = clock / NS
     done = len(rounds)

@@ -40,7 +40,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-eval", "--band", "0"],
                  ["tunnel-demo", "--segment-size", "0"],
                  ["tunnel-demo", "--payload-bytes", "-1"],
-                 ["tunnel-demo", "--mode", "ip-ccn", "--down", "mir2"]):
+                 ["tunnel-demo", "--mode", "ip-ccn", "--down", "mir2"],
+                 ["consensus-sim", "--fault", "x:invalid_blocks"],
+                 ["consensus-sim", "--fault", "1:crash_at_round:y"],
+                 ["consensus-sim", "--fault", "1:invalid_blocks:3"],
+                 ["fib-check", "--check-every", "0"],
+                 ["fib-check", "--ops", "-5"],
+                 ["fib-check", "--lookups", "-1"]):
         assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     # sizes out of order are a usage error before any bench runs
