@@ -259,3 +259,31 @@ def test_interest_bytes_are_pinned():
             digest.update(pkt.encode())
     assert digest.hexdigest() == (
         "28d21721b2065763cb1b137b18bba05a54ef21f83f2a4350b9219ba25cd01de7")
+
+
+def test_down_node_runs_are_pinned():
+    # every mode, no down node and every down set of one or two labels,
+    # four payload sizes: log bytes, records, counters, state and the
+    # Timeout text, hashed together
+    digest = hashlib.sha256()
+    for mode in MODES:
+        labels = [n.label for n in TunnelConnection(mode).nodes]
+        downs = [()] + [(a,) for a in labels] + [
+            (a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+        for down in downs:
+            for size in (0, 1, 4096, 9000):
+                conn = TunnelConnection(mode, down=down)
+                records, error = [], ""
+                try:
+                    records += conn.establish()
+                    conn.send(bytes(i % 251 for i in range(size)))
+                    records += conn.terminate()
+                except Timeout as exc:
+                    error = str(exc)
+                digest.update(repr((
+                    mode.value, down, size, records, conn.interests_sent,
+                    conn.bytes_delivered, conn.state.value, error)).encode())
+                for pkt in conn.interest_log:
+                    digest.update(pkt.encode())
+    assert digest.hexdigest() == (
+        "638e211ddb6659baaf29ac613849e76199db271ea4bbaaf6cfda50aac7378a55")
