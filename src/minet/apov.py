@@ -26,6 +26,7 @@ import functools
 import hashlib
 import hmac as hmac_mod
 import struct
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -540,27 +541,26 @@ class Chain:
 
 
 # The last group `Chain.append` checked:
-# (header, body digests, prev digest, config, problems, group digest).
-# Every node appends a round's sealed group before the next round starts,
-# so one entry lets the nodes holding the same group share one validation.
-# The header is held by reference, so no other header can take its
-# identity while it is the key.
+# (weak reference to the group, prev digest, config, problems, group digest).
+# Every node appends a round's one sealed group before the next round
+# starts, so one entry lets the nodes share one validation.  The weak
+# reference keeps no group alive, and once dead it matches no group.
 _last_check: Optional[tuple] = None
 
 
 def _checked_group(group: BlockGroup, config: ConsensusConfig,
                    prev_group_hash: bytes) -> tuple[tuple[str, ...], Optional[bytes]]:
     """`validate_block_group` and, for a valid group, `group_digest`,
-    computed once for the same sealed header, body, chain tip and config."""
+    computed once for the same group object, chain tip and config."""
     global _last_check
-    body = tuple(block_digest(b) for b in group.body)
     last = _last_check
-    if (last is not None and last[0] is group.header and last[1] == body
-            and last[2] == prev_group_hash and last[3] == config):
-        return last[4], last[5]
+    if (last is not None and last[0]() is group
+            and last[1] == prev_group_hash and last[2] == config):
+        return last[3], last[4]
     problems = tuple(validate_block_group(group, config, prev_group_hash))
     digest = None if problems else group_digest(group)
-    _last_check = (group.header, body, prev_group_hash, config, problems, digest)
+    _last_check = (weakref.ref(group), prev_group_hash, config, problems,
+                   digest)
     return problems, digest
 
 

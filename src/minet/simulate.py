@@ -267,11 +267,11 @@ class _Round:
         for recv in ring:
             t3_end = sim.reserve(self.leader, recv, sim.result_bytes, t_seal)
 
-        # step 4: every node assembles, validates and appends, in header
-        # arrival order
+        # step 4: every node appends the group, in header arrival order;
+        # all assemble the same group from the same header and blocks
         refusals = []
+        group = assemble_group(header, blocks)
         for node in [self.leader] + ring:
-            group = assemble_group(header, blocks)
             try:
                 sim.chains[node].append(group, self.rcfg)
             except ChainError as exc:

@@ -16,13 +16,12 @@ as payload-bearing Interests on CCN segments, one acknowledgment flight
 per segment in the reverse direction (stop-and-wait), since the
 underlying fabric offers no reliability of its own.
 
-Everything that depends only on the mode is planned once, at import:
-its chain of nodes and, for each direction, the next node of every hop
-and, on CCN segments, the Interest name it carries.  Every connection
-runs between 10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID and
-the planned routes, and keep only their own state.  Everything runs
-in-process; a node a connection is told is down surfaces as a Timeout
-and it folds back to Closed.
+Each mode's chain is built once, at import; the Interest names a flight
+carries each way, up to the first node a connection is told is down, are
+planned once per mode and down set.  Every connection runs between
+10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID.  A connection keeps
+its flights as tuples and builds its Interest log only when it is read; a
+down node surfaces as a Timeout and the connection folds back to Closed.
 """
 
 from __future__ import annotations
@@ -65,12 +64,6 @@ class InvalidState(TunnelError):
     pass
 
 
-@functools.lru_cache(maxsize=1024)
-def _ipv4(text: str) -> int:
-    """The integer of dotted IPv4 text; malformed text raises ValueError."""
-    return int(ipaddress.IPv4Address(text))
-
-
 def flag_names(flags: int) -> str:
     names = [n for bit, n in _FLAG_NAMES if flags & bit]
     return "+".join(names) if names else "DATA"
@@ -95,13 +88,14 @@ class SignalingHeader:
         for p in (self.src_port, self.dst_port):
             if not 0 <= p < 2**16:
                 raise ValueError("port out of range")
-        _ipv4(self.src_ip)
-        _ipv4(self.dst_ip)
+        ipaddress.IPv4Address(self.src_ip)
+        ipaddress.IPv4Address(self.dst_ip)
 
     def encode(self) -> bytes:
-        return _SIGNAL_STRUCT.pack(
-            self.flags, self.seq, self.ack, _ipv4(self.src_ip),
-            _ipv4(self.dst_ip), self.src_port, self.dst_port)
+        src, dst = (int(ipaddress.IPv4Address(ip))
+                    for ip in (self.src_ip, self.dst_ip))
+        return _SIGNAL_STRUCT.pack(self.flags, self.seq, self.ack, src, dst,
+                                   self.src_port, self.dst_port)
 
     @staticmethod
     def decode(data: bytes) -> "SignalingHeader":
@@ -189,10 +183,7 @@ class TunnelMode(Enum):
 
 class TunnelState(Enum):
     CLOSED = "Closed"
-    SYN_SENT = "SynSent"
-    SYN_RECEIVED = "SynReceived"
     ESTABLISHED = "Established"
-    FIN_WAIT = "FinWait"
 
 
 @dataclass(frozen=True)
@@ -248,18 +239,27 @@ def _build_chain(mode: TunnelMode) -> tuple[ChainNode, ...]:
     return tuple(nodes)
 
 
-def _route(path: tuple[ChainNode, ...], segments: tuple[str, ...]
-           ) -> tuple[tuple[str, Optional[ContentName]], ...]:
-    """(next node's label, Interest name or None) for each hop of `path`."""
-    return tuple((nxt.label, nxt.prefix.child(CONN_ID)
-                  if segment == "ccn" else None)
-                 for nxt, segment in zip(path, segments, strict=True))
-
-
 CHAINS = {mode: _build_chain(mode) for mode in TunnelMode}
-_ROUTES = {mode: {True: _route(nodes[1:], mode.segments),
-                  False: _route(nodes[-2::-1], mode.segments[::-1])}
-           for mode, nodes in CHAINS.items()}
+
+
+@functools.cache     # at most 4 modes x 16 down sets of their chain labels
+def _plans(mode: TunnelMode, down: frozenset[str]
+           ) -> tuple[tuple[tuple[ContentName, ...], Optional[str]], ...]:
+    """Per direction (index True: A->B), the Interest names a flight sends
+    before the first node in `down`, and that node's label or None."""
+    nodes = CHAINS[mode]
+    plans = []
+    for path, segments in ((nodes[-2::-1], mode.segments[::-1]),
+                           (nodes[1:], mode.segments)):
+        names, stop = [], None
+        for node, segment in zip(path, segments, strict=True):
+            if node.label in down:
+                stop = node.label
+                break
+            if segment == "ccn":
+                names.append(node.prefix.child(CONN_ID))
+        plans.append((tuple(names), stop))
+    return tuple(plans)
 
 
 class TunnelConnection:
@@ -267,16 +267,14 @@ class TunnelConnection:
 
     def __init__(self, mode: TunnelMode, segment_size: int = SEGMENT_SIZE,
                  down: Iterable[str] = ()):
-        nodes = CHAINS[mode]
+        self.nodes = CHAINS[mode]
         self.down = frozenset(down)
-        unknown = self.down.difference(n.label for n in nodes)
+        unknown = self.down.difference(n.label for n in self.nodes)
         if unknown:
             raise TunnelError(f"no node {', '.join(sorted(unknown))} in "
                               f"the {mode.value} chain")
         if segment_size < 1:
             raise TunnelError(f"segment size {segment_size} is not positive")
-        self.mode = mode
-        self.nodes = nodes
         self.conn_id = CONN_ID
         self.segment_size = segment_size
         self.state = TunnelState.CLOSED
@@ -284,76 +282,78 @@ class TunnelConnection:
         self.bytes_delivered = 0
         self.seq_fwd = 0
         self.seq_rev = 0
-        self.interest_log: list[InterestPacket] = []
+        # (flags, seq, ack, forward, payload, Interest names) per flight
+        self._flights: list[tuple] = []
         self._received = hashlib.sha256()     # of the bytes delivered to B
-        self._routes = _ROUTES[mode]
+        self._plans = _plans(mode, self.down)
+
+    @property
+    def interest_log(self) -> list[InterestPacket]:
+        """Every Interest sent so far, in order, built from the flights."""
+        log = []
+        for flags, seq, ack, forward, payload, names in self._flights:
+            header = SignalingHeader(flags, seq, ack, *_ENDS[forward])
+            log.extend(InterestPacket(name, header, payload) for name in names)
+        return log
 
     # -- flights -----------------------------------------------------------
 
     def _flight(self, flags: int, forward: bool,
-                payload: Optional[bytes] = None) -> ExchangeRecord:
-        """Move one signaling flight end to end, hop by hop."""
+                payload: Optional[bytes] = None) -> None:
+        """Move one flight end to end, or up to a down node on its path."""
         seq = self.seq_fwd if forward else self.seq_rev
         ack = self.seq_rev if forward else self.seq_fwd
-        header = SignalingHeader(flags, seq, ack, *_ENDS[forward])
-        interests = 0
-        for label, name in self._routes[forward]:
-            if label in self.down:
-                self.state = TunnelState.CLOSED
-                raise Timeout(f"node {label} is unreachable")
-            if name is not None:
-                self.interest_log.append(InterestPacket(name, header, payload))
-                interests += 1
-        self.interests_sent += interests
+        names, down = self._plans[forward]
+        self._flights.append((flags, seq, ack, forward, payload, names))
+        if down is not None:
+            self.state = TunnelState.CLOSED
+            raise Timeout(f"node {down} is unreachable")
+        self.interests_sent += len(names)
         if payload is not None:
             self._received.update(payload)
             self.bytes_delivered += len(payload)
-        return ExchangeRecord(flag_names(flags), "fwd" if forward else "rev",
-                              interests)
+
+    def _records(self, count: int) -> list[ExchangeRecord]:
+        """The exchange records of the last `count` flights."""
+        return [ExchangeRecord(flag_names(f), "fwd" if fwd else "rev", len(n))
+                for f, _, _, fwd, _, n in self._flights[-count:]]
 
     # -- lifecycle ------------------------------------------------------------
 
     def establish(self) -> list[ExchangeRecord]:
         if self.state is not TunnelState.CLOSED:
             raise InvalidState(f"establish from {self.state.value}")
-        trace = []
-        trace.append(self._flight(FLAG_SYN, forward=True))
-        self.state = TunnelState.SYN_SENT
+        self._flight(FLAG_SYN, forward=True)
         self.seq_fwd += 1
-        trace.append(self._flight(FLAG_SYN | FLAG_ACK, forward=False))
-        self.state = TunnelState.SYN_RECEIVED
+        self._flight(FLAG_SYN | FLAG_ACK, forward=False)
         self.seq_rev += 1
-        trace.append(self._flight(FLAG_ACK, forward=True))
+        self._flight(FLAG_ACK, forward=True)
         self.state = TunnelState.ESTABLISHED
-        return trace
+        return self._records(3)
 
     def send(self, payload: bytes) -> int:
         """Stop-and-wait payload push; returns data segments used."""
         if self.state is not TunnelState.ESTABLISHED:
             raise InvalidState(f"send from {self.state.value}")
-        segments = 0
-        view = memoryview(payload)
-        for off in range(0, len(payload), self.segment_size):
-            chunk = bytes(view[off:off + self.segment_size])
+        offsets = range(0, len(payload), self.segment_size)
+        for off in offsets:
+            chunk = bytes(payload[off:off + self.segment_size])
             self._flight(0, forward=True, payload=chunk)
             self.seq_fwd += len(chunk)
             self._flight(FLAG_ACK, forward=False)
-            segments += 1
-        return segments
+        return len(offsets)
 
     def terminate(self) -> list[ExchangeRecord]:
         if self.state is not TunnelState.ESTABLISHED:
             raise InvalidState(f"terminate from {self.state.value}")
-        trace = []
-        trace.append(self._flight(FLAG_FIN, forward=True))
-        self.state = TunnelState.FIN_WAIT
+        self._flight(FLAG_FIN, forward=True)
         self.seq_fwd += 1
-        trace.append(self._flight(FLAG_ACK, forward=False))
-        trace.append(self._flight(FLAG_FIN, forward=False))
+        self._flight(FLAG_ACK, forward=False)
+        self._flight(FLAG_FIN, forward=False)
         self.seq_rev += 1
-        trace.append(self._flight(FLAG_ACK, forward=True))
+        self._flight(FLAG_ACK, forward=True)
         self.state = TunnelState.CLOSED
-        return trace
+        return self._records(4)
 
     def receiver_digest(self) -> str:
         return self._received.hexdigest()

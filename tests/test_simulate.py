@@ -63,20 +63,28 @@ def test_simulated_chain_bytes_are_pinned(monkeypatch):
 
 
 def test_each_sealed_group_is_validated_once_per_round(monkeypatch):
-    checked = 0
+    checked = assembled = 0
     verify = apov.verify_vote_signature
+    assemble = simulate.assemble_group
 
     def counting(*args):
         nonlocal checked
         checked += 1
         return verify(*args)
 
+    def assembling(*args):
+        nonlocal assembled
+        assembled += 1
+        return assemble(*args)
+
     monkeypatch.setattr(apov, "verify_vote_signature", counting)
+    monkeypatch.setattr(simulate, "assemble_group", assembling)
     n = 8
     res = run_rounds(_small(n=n, rounds=2, k=10))
     assert res.summary.rounds_completed == 2
     n_b, n_c = n, n - 1
     assert checked == 2 * n_c * n_b
+    assert assembled == 2
 
 
 def test_each_block_merkle_root_is_computed_once_per_round(monkeypatch):

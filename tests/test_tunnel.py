@@ -1,6 +1,7 @@
 """Tunnel gateways: wire formats, handshakes, fidelity, faults."""
 
 import hashlib
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +83,7 @@ def test_connections_of_a_mode_share_the_planned_routes():
         a, b = TunnelConnection(mode), TunnelConnection(mode)
         for conn in (a, b):
             conn.establish()
-        # the Interest names were built once, at import, not per connect
+        # the Interest names were planned once per mode, not per connect
         assert all(pa.name is pb.name for pa, pb in
                    zip(a.interest_log, b.interest_log, strict=True))
 
@@ -287,3 +288,39 @@ def test_down_node_runs_are_pinned():
                     digest.update(pkt.encode())
     assert digest.hexdigest() == (
         "638e211ddb6659baaf29ac613849e76199db271ea4bbaaf6cfda50aac7378a55")
+
+
+def test_interest_log_reads_are_equal_and_grow_by_prefix():
+    for mode in MODES:
+        full = TunnelConnection(mode)
+        full.establish()
+        after_establish = full.interest_log
+        full.send(b"p" * 5000)
+        full.terminate()
+        assert full.interest_log == full.interest_log
+        log = full.interest_log
+        assert log[:len(after_establish)] == after_establish
+        for label in (n.label for n in full.nodes):
+            cut = TunnelConnection(mode, down={label})
+            with pytest.raises(Timeout):
+                cut.establish()
+            partial = cut.interest_log
+            assert partial == log[:len(partial)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(MODES), st.binary(max_size=20000),
+       st.integers(1, 5000))
+def test_data_interests_at_b_carry_the_payload_in_order(mode, payload,
+                                                        seg_size):
+    conn = TunnelConnection(mode, segment_size=seg_size)
+    syn = conn.establish()[0]
+    conn.send(payload)
+    conn.terminate()
+    log = conn.interest_log
+    last_hop = log[syn.interests - 1].name     # the SYN's hop nearest B
+    data = [p for p in log if p.name == last_hop and p.signaling.flags == 0]
+    assert b"".join(p.payload for p in data) == payload
+    # seq starts after the SYN's one and goes up by each chunk's length
+    assert [p.signaling.seq for p in data] == list(
+        accumulate((len(p.payload) for p in data), initial=1))[:-1]
