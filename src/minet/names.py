@@ -72,6 +72,10 @@ class IdKind(Enum):
     GEO = "geo"
     IP = "ip"
 
+    # members are singletons, so identity hashing keeps equality and
+    # skips Enum's Python-level __hash__ in every Identifier hash
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Identifier:

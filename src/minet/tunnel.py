@@ -22,6 +22,9 @@ planned once per mode and down set.  Every connection runs between
 10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID.  A connection keeps
 its flights as tuples and builds its Interest log only when it is read; a
 down node surfaces as a Timeout and the connection folds back to Closed.
+A handshake only completes with no node down, so each mode's establish and
+terminate records are built once, at import, and shared.  Sequence and
+acknowledgment numbers wrap modulo 2**32, as in TCP.
 """
 
 from __future__ import annotations
@@ -176,6 +179,10 @@ class TunnelMode(Enum):
     CCN_IP = "ccn-ip"
     CCN_IP_CCN = "ccn-ip-ccn"
 
+    # members are singletons, so identity hashing keeps equality and
+    # skips Enum's Python-level __hash__ on every _plans lookup
+    __hash__ = object.__hash__
+
     @property
     def segments(self) -> tuple[str, ...]:
         return tuple(self.value.split("-"))
@@ -262,11 +269,29 @@ def _plans(mode: TunnelMode, down: frozenset[str]
     return tuple(plans)
 
 
+# (flags, forward) of each flight of the two handshakes
+_ESTABLISH = ((FLAG_SYN, True), (FLAG_SYN | FLAG_ACK, False), (FLAG_ACK, True))
+_TERMINATE = ((FLAG_FIN, True), (FLAG_ACK, False), (FLAG_FIN, False),
+              (FLAG_ACK, True))
+
+
+def _handshake(mode: TunnelMode, flights) -> tuple[ExchangeRecord, ...]:
+    """The records of a handshake, which completes only with no node down."""
+    plans = _plans(mode, frozenset())
+    return tuple(ExchangeRecord(flag_names(flags), "fwd" if fwd else "rev",
+                                len(plans[fwd][0])) for flags, fwd in flights)
+
+
+_ESTABLISH_RECORDS = {m: _handshake(m, _ESTABLISH) for m in TunnelMode}
+_TERMINATE_RECORDS = {m: _handshake(m, _TERMINATE) for m in TunnelMode}
+
+
 class TunnelConnection:
     """One tunneled transport connection across its mode's shared chain."""
 
     def __init__(self, mode: TunnelMode, segment_size: int = SEGMENT_SIZE,
                  down: Iterable[str] = ()):
+        self.mode = mode
         self.nodes = CHAINS[mode]
         self.down = frozenset(down)
         unknown = self.down.difference(n.label for n in self.nodes)
@@ -313,23 +338,18 @@ class TunnelConnection:
             self._received.update(payload)
             self.bytes_delivered += len(payload)
 
-    def _records(self, count: int) -> list[ExchangeRecord]:
-        """The exchange records of the last `count` flights."""
-        return [ExchangeRecord(flag_names(f), "fwd" if fwd else "rev", len(n))
-                for f, _, _, fwd, _, n in self._flights[-count:]]
-
     # -- lifecycle ------------------------------------------------------------
 
     def establish(self) -> list[ExchangeRecord]:
         if self.state is not TunnelState.CLOSED:
             raise InvalidState(f"establish from {self.state.value}")
         self._flight(FLAG_SYN, forward=True)
-        self.seq_fwd += 1
+        self.seq_fwd = (self.seq_fwd + 1) % 2**32
         self._flight(FLAG_SYN | FLAG_ACK, forward=False)
-        self.seq_rev += 1
+        self.seq_rev = (self.seq_rev + 1) % 2**32
         self._flight(FLAG_ACK, forward=True)
         self.state = TunnelState.ESTABLISHED
-        return self._records(3)
+        return list(_ESTABLISH_RECORDS[self.mode])
 
     def send(self, payload: bytes) -> int:
         """Stop-and-wait payload push; returns data segments used."""
@@ -339,7 +359,7 @@ class TunnelConnection:
         for off in offsets:
             chunk = bytes(payload[off:off + self.segment_size])
             self._flight(0, forward=True, payload=chunk)
-            self.seq_fwd += len(chunk)
+            self.seq_fwd = (self.seq_fwd + len(chunk)) % 2**32
             self._flight(FLAG_ACK, forward=False)
         return len(offsets)
 
@@ -347,13 +367,13 @@ class TunnelConnection:
         if self.state is not TunnelState.ESTABLISHED:
             raise InvalidState(f"terminate from {self.state.value}")
         self._flight(FLAG_FIN, forward=True)
-        self.seq_fwd += 1
+        self.seq_fwd = (self.seq_fwd + 1) % 2**32
         self._flight(FLAG_ACK, forward=False)
         self._flight(FLAG_FIN, forward=False)
-        self.seq_rev += 1
+        self.seq_rev = (self.seq_rev + 1) % 2**32
         self._flight(FLAG_ACK, forward=True)
         self.state = TunnelState.CLOSED
-        return self._records(4)
+        return list(_TERMINATE_RECORDS[self.mode])
 
     def receiver_digest(self) -> str:
         return self._received.hexdigest()

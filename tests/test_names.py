@@ -1,4 +1,5 @@
 import ipaddress
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,3 +87,17 @@ def test_forwarding_info_validation():
     assert ForwardingInfo(3).face_id == 3
     with pytest.raises(ValueError):
         ForwardingInfo(-1)
+
+
+def test_equal_identifiers_hash_equal_and_find_each_other():
+    texts = ["content:/a/b", "id:alice", "geo:cn.gd.sz", "ip:10.0.0.1"]
+    firsts = [Identifier.parse(t) for t in texts]
+    table = {ident: t for ident, t in zip(firsts, texts)}
+    assert {i.kind for i in firsts} == set(IdKind)
+    for first, text in zip(firsts, texts):
+        for again in (Identifier.parse(text),
+                      pickle.loads(pickle.dumps(first))):
+            assert again is not first and again == first
+            assert hash(again) == hash(first)
+            assert table[again] == text
+            assert again.kind is first.kind

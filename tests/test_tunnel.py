@@ -1,13 +1,15 @@
 """Tunnel gateways: wire formats, handshakes, fidelity, faults."""
 
 import hashlib
-from itertools import accumulate
+import pickle
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minet.names import ContentName
 from minet.tunnel import (
+    A_IP,
     CONN_ID,
     FLAG_ACK,
     FLAG_FIN,
@@ -24,6 +26,7 @@ from minet.tunnel import (
     TunnelState,
     flag_names,
     read_interest_log,
+    _plans,
     run_scenario,
     write_interest_log,
 )
@@ -324,3 +327,64 @@ def test_data_interests_at_b_carry_the_payload_in_order(mode, payload,
     # seq starts after the SYN's one and goes up by each chunk's length
     assert [p.signaling.seq for p in data] == list(
         accumulate((len(p.payload) for p in data), initial=1))[:-1]
+
+
+def _records_from_log(conn):
+    """Per flight, its flag names, direction and Interest count, read back
+    from the log: a flight's Interests share one header, and no two
+    consecutive flights carry equal headers."""
+    return [(flag_names(header.flags),
+             "fwd" if header.src_ip == A_IP else "rev", len(list(pkts)))
+            for header, pkts in groupby(conn.interest_log,
+                                        key=lambda p: p.signaling)]
+
+
+def test_handshake_records_match_the_log_and_are_shared_per_mode():
+    for mode in MODES:
+        returned = []
+        for _ in range(2):
+            conn = TunnelConnection(mode)
+            est = conn.establish()
+            segments = conn.send(b"r" * 5000)
+            fin = conn.terminate()
+            flights = _records_from_log(conn)
+            assert len(flights) == 3 + 2 * segments + 4
+            assert [(r.flags, r.direction, r.interests)
+                    for r in est + fin] == flights[:3] + flights[-4:]
+            returned.append((est, fin))
+        # built once per mode, not once per connection
+        (est_a, fin_a), (est_b, fin_b) = returned
+        assert all(x is y for x, y in zip(est_a + fin_a, est_b + fin_b,
+                                          strict=True))
+        # each call hands out its own list
+        expected = list(est_b), list(fin_b)
+        est_a.clear()
+        fin_a[0] = None
+        conn = TunnelConnection(mode)
+        assert (conn.establish(), conn.terminate()) == expected
+
+
+def test_sequence_numbers_wrap_modulo_2_32():
+    for mode in MODES:
+        conn = TunnelConnection(mode)
+        conn.establish()
+        conn.seq_fwd = 2**32 - 1
+        conn.send(b"xyz")
+        assert conn.seq_fwd == 2
+        log = conn.interest_log                  # every header validates
+        last_data = max(i for i, p in enumerate(log)
+                        if p.signaling.flags == 0)
+        assert log[last_data].signaling.seq == 4294967295
+        ack = log[last_data + 1].signaling
+        assert (ack.flags, ack.ack) == (FLAG_ACK, 2)
+        conn.terminate()
+        assert conn.interest_log[-1].signaling.seq == 3     # after the FIN
+        assert conn.receiver_digest() == hashlib.sha256(b"xyz").hexdigest()
+
+
+def test_pickled_modes_hash_equal_and_hit_the_same_plans():
+    for mode in MODES:
+        back = pickle.loads(pickle.dumps(mode))
+        assert back is mode
+        assert {mode: 1}[back] == 1
+        assert _plans(back, frozenset()) is _plans(mode, frozenset())
