@@ -16,8 +16,7 @@ A block's transactions are either a tuple of `Transaction` records
 (registry blocks, which carry payloads) or a `TxColumn`: payload-free
 synthetic transactions held as one read-only int64 id column with one
 nominal size, as the simulator makes them.  Both encode to the same
-bytes, so every digest is the same whichever form built the block; a
-decoded block always holds `Transaction` records.
+bytes, so every digest is the same whichever form built the block.
 """
 
 from __future__ import annotations
@@ -196,29 +195,6 @@ def _u64(value: int) -> bytes:
     return struct.pack(">q", value)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def frame(self) -> bytes:
-        (n,) = struct.unpack_from(">I", self.buf, self.pos)
-        self.pos += 4
-        out = self.buf[self.pos:self.pos + n]
-        if len(out) != n:
-            raise ChainError("truncated record")
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        (v,) = struct.unpack_from(">q", self.buf, self.pos)
-        self.pos += 8
-        return v
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
-
-
 # One encoded payload-free transaction: id, payload length 0, nominal size.
 _TX_ROW = np.dtype([("id", ">i8"), ("payload_len", ">u4"),
                     ("nominal_size", ">u4")])
@@ -226,14 +202,6 @@ _TX_ROW = np.dtype([("id", ">i8"), ("payload_len", ">u4"),
 
 def encode_transaction(tx: Transaction) -> bytes:
     return _u64(tx.id) + _frame(tx.payload) + struct.pack(">I", tx.nominal_size)
-
-
-def _decode_transaction(r: _Reader) -> Transaction:
-    tid = r.u64()
-    payload = r.frame()
-    (nominal,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    return Transaction(tid, payload, nominal)
 
 
 def encode_block(block: Block) -> bytes:
@@ -255,17 +223,6 @@ def encode_block(block: Block) -> bytes:
     out = b"".join(parts)
     object.__setattr__(block, "_enc", out)
     return out
-
-
-def _decode_block(r: _Reader) -> Block:
-    prev = r.frame()
-    merkle = r.frame()
-    key = r.frame()
-    ts = r.u64()
-    (count,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    txs = tuple(_decode_transaction(r) for _ in range(count))
-    return Block(prev, merkle, key, ts, txs)
 
 
 def block_digest(block: Block) -> bytes:
@@ -308,21 +265,6 @@ def encode_vote_message(msg: VoteMessage) -> bytes:
     return b"".join(parts)
 
 
-def _decode_vote_message(r: _Reader) -> VoteMessage:
-    voter = r.u64()
-    (count,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    votes = []
-    for _ in range(count):
-        block_hash = r.frame()
-        approve = r.buf[r.pos:r.pos + 1] == b"\x01"
-        r.pos += 1
-        v_voter = r.u64()
-        sig = r.frame()
-        votes.append(BlockVote(block_hash, approve, v_voter, sig))
-    return VoteMessage(voter, tuple(votes))
-
-
 def encode_header(header: BlockGroupHeader) -> bytes:
     parts = [_u64(header.height), _u64(header.leader), _u64(header.seed),
              _u64(header.next_leader), struct.pack(">I", len(header.tally))]
@@ -334,39 +276,11 @@ def encode_header(header: BlockGroupHeader) -> bytes:
     return b"".join(parts)
 
 
-def _decode_header(r: _Reader) -> BlockGroupHeader:
-    height = r.u64()
-    leader = r.u64()
-    seed = r.u64()
-    next_leader = r.u64()
-    (tally_n,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    tally = []
-    for _ in range(tally_n):
-        block_hash = r.frame()
-        yes, no = struct.unpack_from(">II", r.buf, r.pos)
-        r.pos += 8
-        tally.append((block_hash, yes, no))
-    (msg_n,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    msgs = tuple(_decode_vote_message(_Reader(r.frame())) for _ in range(msg_n))
-    return BlockGroupHeader(height, leader, seed, next_leader, tuple(tally), msgs)
-
-
 def encode_block_group(group: BlockGroup) -> bytes:
     parts = [_frame(encode_header(group.header)),
              struct.pack(">I", len(group.body))]
     parts.extend(_frame(encode_block(b)) for b in group.body)
     return b"".join(parts)
-
-
-def decode_block_group(buf: bytes) -> BlockGroup:
-    r = _Reader(buf)
-    header = _decode_header(_Reader(r.frame()))
-    (n,) = struct.unpack_from(">I", r.buf, r.pos)
-    r.pos += 4
-    body = tuple(_decode_block(_Reader(r.frame())) for _ in range(n))
-    return BlockGroup(header, body)
 
 
 def group_digest(group: BlockGroup) -> bytes:
@@ -563,17 +477,3 @@ def _checked_group(group: BlockGroup, config: ConsensusConfig,
                    digest)
     return problems, digest
 
-
-def append_block_group(path, group: BlockGroup) -> None:
-    with open(path, "ab") as fh:
-        fh.write(_frame(encode_block_group(group)))
-
-
-def read_chain(path) -> list[BlockGroup]:
-    out = []
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf)
-    while not r.done():
-        out.append(decode_block_group(r.frame()))
-    return out

@@ -288,19 +288,15 @@ class Hierarchy:
         if ident.kind is IdKind.CONTENT:
             node = self.root
             while True:
-                comps = ident.value.components
-                depth = len(node.name.components)
-                nxt = None
-                if len(comps) > depth:
-                    for child in node.children:
-                        if child.name.components == comps[:depth + 1]:
-                            nxt = child
-                            break
-                if nxt is None:
+                # descend into the child whose name prefixes the identifier
+                for child in node.children:
+                    if child.name.is_prefix_of(ident.value):
+                        break
+                else:
                     break
-                if nxt.name not in visited:
-                    yield nxt
-                node = nxt
+                if child.name not in visited:
+                    yield child
+                node = child
         queue = deque([self.root])
         while queue:
             d = queue.popleft()
@@ -403,18 +399,6 @@ def request_to_dict(request: RegistrationRequest) -> dict:
     }
 
 
-def request_from_dict(data: dict) -> RegistrationRequest:
-    fwd = data.get("forwarding")
-    binds = data.get("binds_to")
-    return RegistrationRequest(
-        identifier=Identifier.parse(data["identifier"]),
-        owner=Identifier.parse(data["owner"]),
-        forwarding=None if fwd is None else ForwardingInfo(
-            face_id=fwd["face_id"], metric=fwd.get("metric", 0)),
-        binds_to=None if binds is None else ContentName.parse(binds),
-    )
-
-
 def record_to_dict(record: RegistrationRecord) -> dict:
     return {
         "identifier": record.identifier.text,
@@ -435,19 +419,6 @@ def record_from_dict(data: dict) -> RegistrationRecord:
         status=data["status"],
         tx_id=int(data["tx_id"]),
     )
-
-
-def resolution_to_dict(result: ResolutionResult) -> dict:
-    return {
-        "outcome": result.outcome.value,
-        "hops": [h.text for h in result.hops],
-        "record": None if result.record is None else record_to_dict(result.record),
-        "forwarding": None if result.forwarding is None else {
-            "face_id": result.forwarding.face_id,
-            "metric": result.forwarding.metric,
-        },
-        "message": result.message,
-    }
 
 
 def read_record_store(path) -> list[RegistrationRecord]:

