@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -64,6 +65,7 @@ class LookupReport:
     query_count: int
     route: str                    # kernel/<backend> or dict
     build_wall_s: float
+    table_bytes_per_name: float   # build RSS growth / entries (fresh process)
     pack_wall_s: float
     query_pack_wall_s: float      # pack_queries, summed over query lengths
     entry_len_mean: float         # realised mean stored-name length
@@ -83,11 +85,13 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
                         query_len=query_lens[0], mode=mode, seed=seed)
     entries, lengths = workload.generate_entries(spec)
 
+    rss0 = _rss_bytes()
     t0 = time.perf_counter()
     hpt = Hpt()
     for name, fwd in entries:
         hpt.insert(name, fwd)
     build_wall = time.perf_counter() - t0
+    bytes_per_name = (_rss_bytes() - rss0) / entry_count
 
     packed = None
     pack_wall = 0.0
@@ -111,8 +115,14 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
             row = _kernel_row(packed, fps, lens, mode, mean_entry_len, n)
         rows.append(row)
     return LookupReport(entry_count, query_count, route_label, build_wall,
-                        pack_wall, query_pack_wall, float(lengths.mean()),
+                        bytes_per_name, pack_wall, query_pack_wall, float(lengths.mean()),
                         tuple(rows))
+
+
+def _rss_bytes() -> int:
+    """This process's resident set size, read from /proc/self/statm."""
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def _kernel_row(packed, fps, lens, mode, m, n) -> LookupRow:

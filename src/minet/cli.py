@@ -288,6 +288,7 @@ def _cmd_fib_bench(ns, out: Path) -> int:
         "mean_entry_len": ns.mean_entry_len,
         "entry_len_mean": report.entry_len_mean,
         "build_wall_s": report.build_wall_s,
+        "table_bytes_per_name": report.table_bytes_per_name,
         "pack_wall_s": report.pack_wall_s,
         "query_pack_wall_s": report.query_pack_wall_s,
         "seed": ns.seed,

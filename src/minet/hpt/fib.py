@@ -15,17 +15,18 @@ The table is stored as columns.  `index` maps a prefix's text to its
 node id, and a node id is a position in every column: `state` (a
 bytearray of EntryState values), `parent` (an int32 array, -1 at depth
 1), `forwarding` (None unless real) and `component` (the last component
-of the prefix).  `children` holds a list only for ids that have
-children, under -1 for the depth-1 names, and `bindings` a list only for
-bound ids.  `delete` puts the ids it frees on the `free` list, with no
-component or forwarding, and new entries take ids from there first, so
-the columns do not grow across churn.
+of the prefix).  Children hang off int32 link columns, -1 meaning none:
+`first_child` is indexed by parent id + 1, so slot 0 heads the depth-1
+names, and `next_sibling` / `prev_sibling` chain each parent's children,
+newest first, so a node unlinks in O(1).  `bindings` holds a list only
+for bound ids.  `delete` puts the ids it frees on the `free` list, with
+no component or forwarding, and new entries take ids from there first,
+so the columns do not grow across churn.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Optional
@@ -94,7 +95,9 @@ class Hpt:
         self.parent = array("i")
         self.forwarding: list[Optional[ForwardingInfo]] = []
         self.component: list[Optional[str]] = []
-        self.children: dict[int, list[int]] = {}
+        self.first_child = array("i", [-1])
+        self.next_sibling = array("i")
+        self.prev_sibling = array("i")
         self.bindings: dict[int, list[Identifier]] = {}
         self.free: list[int] = []
         self.alt_index: dict[Identifier, ContentName] = {}
@@ -115,29 +118,17 @@ class Hpt:
         nid = self.index.get(text)
         if nid is not None:
             self.forwarding[nid] = forwarding
-            if self.state[nid] == _REAL:
-                return
-            # A filler becomes real: every virtual entry below now has a
-            # real ancestor.  Virtual regions are contiguous (nothing
-            # virtual sits below a non-virtual entry), so the walk stops
-            # at non-virtual children.
-            self.state[nid] = _REAL
-            stack = [nid]
-            while stack:
-                for child in self.children.get(stack.pop(), ()):
-                    if self.state[child] == _VIRTUAL:
-                        self.state[child] = _SEMI_VIRTUAL
-                        stack.append(child)
+            if self.state[nid] != _REAL:
+                # a filler turns real: virtual entries below gain a real ancestor
+                self._recolor(nid, _REAL, _VIRTUAL, _SEMI_VIRTUAL)
             return
         comps = name.components
         ends = _ends(comps)
         # Find the deepest indexed prefix; every prefix below it is new.
-        depth = len(comps) - 1
-        parent = -1
+        depth, parent = len(comps) - 1, -1
         while depth:
-            found = self.index.get(text[:ends[depth - 1]])
-            if found is not None:
-                parent = found
+            parent = self.index.get(text[:ends[depth - 1]], -1)
+            if parent != -1:
                 break
             depth -= 1
         filler = (_VIRTUAL if parent == -1 or self.state[parent] == _VIRTUAL
@@ -148,22 +139,45 @@ class Hpt:
 
     def _add(self, text: str, component: str, state: int, parent: int,
              forwarding: Optional[ForwardingInfo]) -> int:
-        """Index a new entry under `parent`, reusing a free id if any."""
+        """Index a new entry at the head of `parent`'s children, reusing a
+        free id if any (a freed id was a leaf, so it has no children)."""
+        head = self.first_child[parent + 1]
         if self.free:
             nid = self.free.pop()
             self.state[nid] = state
             self.parent[nid] = parent
             self.forwarding[nid] = forwarding
             self.component[nid] = component
+            self.next_sibling[nid] = head
+            self.prev_sibling[nid] = -1
         else:
             nid = len(self.state)
             self.state.append(state)
             self.parent.append(parent)
             self.forwarding.append(forwarding)
             self.component.append(component)
+            self.next_sibling.append(head)
+            self.prev_sibling.append(-1)
+            self.first_child.append(-1)
+        if head != -1:
+            self.prev_sibling[head] = nid
+        self.first_child[parent + 1] = nid
         self.index[text] = nid
-        self.children.setdefault(parent, []).append(nid)
         return nid
+
+    def _recolor(self, nid: int, state: int, old: int, new: int) -> None:
+        """Set `nid` to `state` and the `old` region hanging from it to `new`.
+        Nothing virtual sits below a non-virtual entry and real entries
+        shield their subtrees, so the walk stops at any other state."""
+        self.state[nid] = state
+        stack = [nid]
+        while stack:
+            child = self.first_child[stack.pop() + 1]
+            while child != -1:
+                if self.state[child] == old:
+                    self.state[child] = new
+                    stack.append(child)
+                child = self.next_sibling[child]
 
     def delete(self, name: ContentName) -> None:
         """Remove a real entry; fillers demote or unlink as needed."""
@@ -174,36 +188,31 @@ class Hpt:
         self.forwarding[nid] = None
         for alt in self.bindings.pop(nid, ()):
             self.alt_index.pop(alt, None)
-        if nid in self.children:
+        if self.first_child[nid + 1] != -1:
             parent = self.parent[nid]
             if parent != -1 and self.state[parent] != _VIRTUAL:
                 self.state[nid] = _SEMI_VIRTUAL
                 return
-            # No real ancestor remains: this filler region loses its only
-            # real prefix, so demote it (and dependent semi-virtual
-            # descendants) back to virtual.  Real descendants shield their
-            # own subtrees.
-            queue = deque([nid])
-            while queue:
-                cur = queue.popleft()
-                self.state[cur] = _VIRTUAL
-                for child in self.children.get(cur, ()):
-                    if self.state[child] == _SEMI_VIRTUAL:
-                        queue.append(child)
+            # no real ancestor is left, so the region demotes to virtual
+            self._recolor(nid, _VIRTUAL, _SEMI_VIRTUAL, _VIRTUAL)
             return
-        # Leaf: free it, then free non-real ancestors that became leaves.
+        # Leaf: unlink and free it, then free non-real ancestors that
+        # became leaves.
         ends = _ends(name.components)
         while True:
             parent = self.parent[nid]
             del self.index[text[:ends.pop()]]
-            siblings = self.children[parent]
-            siblings.remove(nid)
-            if not siblings:
-                del self.children[parent]
+            prev, nxt = self.prev_sibling[nid], self.next_sibling[nid]
+            if prev == -1:
+                self.first_child[parent + 1] = nxt
+            else:
+                self.next_sibling[prev] = nxt
+            if nxt != -1:
+                self.prev_sibling[nxt] = prev
             self.component[nid] = None
             self.free.append(nid)
             if (parent == -1 or self.state[parent] == _REAL
-                    or parent in self.children):
+                    or self.first_child[parent + 1] != -1):
                 return
             nid = parent
 
@@ -286,12 +295,16 @@ class Hpt:
         stack: list[tuple[int, str, bool]] = [(-1, "", False)]
         while stack:
             parent, ptext, real_above = stack.pop()
-            for nid in self.children.get(parent, ()):
+            prev, nid = -1, self.first_child[parent + 1]
+            while nid != -1:
                 text = f"{ptext}/{self.component[nid]}"
                 if text in seen:
+                    # stop here: a sibling link may loop back
                     problems.append(f"{text}: duplicated in tree")
-                    continue
+                    break
                 seen.add(text)
+                if self.prev_sibling[nid] != prev:
+                    problems.append(f"{text}: broken sibling link")
                 if self.index.get(text) != nid:
                     problems.append(f"{text}: tree node missing from index")
                 if self.parent[nid] != parent:
@@ -303,7 +316,7 @@ class Hpt:
                 else:
                     if self.forwarding[nid] is not None:
                         problems.append(f"{text}: non-real entry carries forwarding")
-                    if nid not in self.children:
+                    if self.first_child[nid + 1] == -1:
                         problems.append(f"{text}: non-real leaf")
                     if state == _VIRTUAL and real_above:
                         problems.append(f"{text}: virtual below a real entry")
@@ -312,6 +325,7 @@ class Hpt:
                     if nid in self.bindings:
                         problems.append(f"{text}: bindings on non-real entry")
                 stack.append((nid, text, real_above or state == _REAL))
+                prev, nid = nid, self.next_sibling[nid]
         for text in self.index:
             if text not in seen:
                 problems.append(f"{text}: indexed but unreachable from tree")

@@ -20,7 +20,7 @@ class ParseError(ValueError):
     """Malformed identifier or content-name text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentName:
     """Hierarchical name ``/c1/c2/.../cN``, N >= 1."""
 
@@ -77,7 +77,7 @@ class IdKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifier:
     """One of the four identifier families, tagged by kind."""
 
@@ -136,7 +136,7 @@ class Identifier:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardingInfo:
     """Next-hop choice attached to a real forwarding entry."""
 

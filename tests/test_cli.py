@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minet
 from minet import perfmodel
 from minet.cli import run_command
 from minet.workload import WorkloadSpec, generate_entries
@@ -77,6 +82,7 @@ def test_fib_bench_report(tmp_path, capsys):
     assert sidecar["entry_len_mean"] == float(lengths.mean())
     assert sidecar["mean_entry_len"] == 4.0
     assert sidecar["query_pack_wall_s"] > 0.0
+    assert "table_bytes_per_name" in sidecar
     assert "note" in sidecar and sidecar["csv"] == "fib_bench.csv"
     assert "N=6" in capsys.readouterr().out
 
@@ -93,6 +99,22 @@ def test_fib_bench_routes_agree_on_probes(tmp_path):
     assert dict_sidecar["query_pack_wall_s"] == 0.0
     assert kernel_rows[0]["linear_probes"] == dict_rows[0]["linear_probes"]
     assert kernel_rows[0]["binary_probes"] == dict_rows[0]["binary_probes"]
+
+
+def test_fib_bench_table_bytes_per_name_in_fresh_process(tmp_path):
+    """RSS growth per name is the table's own only in a fresh process:
+    one that freed memory earlier, as this test process has, reuses it
+    first."""
+    src = str(Path(minet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run(
+        [sys.executable, "-m", "minet.cli", "fib-bench", "--out",
+         str(tmp_path), "--entries", "5000", "--queries", "100",
+         "--query-lens", "6", "--route", "dict"],
+        env=env, check=True, capture_output=True, timeout=120)
+    _, sidecar = read_report(tmp_path, "fib_bench")
+    assert sidecar["table_bytes_per_name"] > 0.0
 
 
 def test_fib_bench_build_scaling_option(tmp_path, capsys):

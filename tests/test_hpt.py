@@ -127,11 +127,77 @@ def test_columns_do_not_grow_across_churn():
         fib.insert(name, F(face))
         fib.bind_identifier(name, Identifier.identity("u"))
         assert max(map(len, (fib.state, fib.parent, fib.forwarding,
-                             fib.component))) <= 3
+                             fib.component, fib.next_sibling,
+                             fib.prev_sibling))) <= 3
+        assert len(fib.first_child) <= 4
         fib.delete(name)
         assert len(fib.index) == 0
-    assert (fib.children, fib.bindings, fib.alt_index) == ({}, {}, {})
+    # no id heads a child list any more, the depth-1 slot included
+    assert set(fib.first_child) == {-1}
+    assert (fib.bindings, fib.alt_index) == ({}, {})
     assert fib.verify_integrity() == []
+
+
+def child_ids(fib, nid):
+    """Ids linked under `nid` (-1: the depth-1 names), head first."""
+    ids = []
+    child = fib.first_child[nid + 1]
+    while child != -1:
+        ids.append(child)
+        child = fib.next_sibling[child]
+    return ids
+
+
+def test_unlink_head_middle_and_tail_under_wide_fan_out():
+    """Deleting the head, a middle and the tail sibling of a 1,200-wide
+    list, at depth 1 and at depth 2, leaves the table equal to one rebuilt
+    from the surviving names; so does emptying it and refilling the
+    freed ids."""
+    fan = 1200
+    faces = {}
+    for i in range(fan):
+        faces[f"/n{i}"] = i
+        faces[f"/w/k{i}"] = i
+    fib = Hpt()
+    for text, face in faces.items():
+        fib.insert(N(text), F(face))
+
+    def matches_rebuild():
+        assert fib.verify_integrity() == []
+        rebuilt = Hpt()
+        for text, face in faces.items():
+            rebuilt.insert(N(text), F(face))
+        assert fib.dump() == rebuilt.dump()
+
+    for parent in (-1, fib.index["/w"]):
+        for pick in (0, fan // 2, -1):             # head, middle, tail
+            ids = child_ids(fib, parent)
+            assert len(ids) > fan // 2
+            nid = ids[pick]
+            assert fib.state[nid] == EntryState.REAL
+            text = next(t for t, i in fib.index.items() if i == nid)
+            fib.delete(N(text))
+            del faces[text]
+            assert child_ids(fib, parent) == ids[:pick % len(ids)] + (
+                ids[pick % len(ids) + 1:])
+            matches_rebuild()
+
+    survivors = list(faces.items())
+    np.random.default_rng(5).shuffle(survivors)
+    for step, (text, _) in enumerate(survivors, 1):
+        fib.delete(N(text))
+        del faces[text]
+        if step % 600 == 0:
+            matches_rebuild()
+    assert (len(fib), fib.dump(), set(fib.first_child)) == (0, "", {-1})
+    assert fib.verify_integrity() == []
+
+    size = len(fib.state)
+    faces = dict(survivors)
+    for text, face in survivors:
+        fib.insert(N(text), F(face))
+    assert len(fib.state) == size        # every new entry took a freed id
+    matches_rebuild()
 
 
 def test_delete_missing_or_filler_is_noop():
@@ -260,6 +326,16 @@ def test_verify_integrity_flags_forced_corruption():
     fib.state[fib.index["/a"]] = EntryState.SEMI_VIRTUAL
     problems = fib.verify_integrity()
     assert any("semi-virtual without real ancestor" in p for p in problems)
+
+
+def test_verify_integrity_flags_broken_sibling_link():
+    fib = Hpt()
+    for text in ("/a/x", "/a/y", "/a/z"):
+        fib.insert(N(text), F(1))
+    second = fib.next_sibling[fib.first_child[fib.index["/a"] + 1]]
+    fib.prev_sibling[second] = -1           # claims to head the list
+    assert fib.verify_integrity() == [
+        f"/a/{fib.component[second]}: broken sibling link"]
 
 
 def test_insert_order_independence():

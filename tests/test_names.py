@@ -1,3 +1,4 @@
+import dataclasses
 import ipaddress
 import pickle
 
@@ -101,3 +102,27 @@ def test_equal_identifiers_hash_equal_and_find_each_other():
             assert hash(again) == hash(first)
             assert table[again] == text
             assert again.kind is first.kind
+
+
+@pytest.mark.parametrize("value", [
+    ContentName.parse("/a/b"),
+    Identifier.parse("id:alice"),
+    Identifier.content("/x/y"),
+    ForwardingInfo(3, metric=2),
+], ids=lambda v: type(v).__name__)
+def test_value_types_are_slotted_and_frozen(value):
+    cls = type(value)
+    fields = [f.name for f in dataclasses.fields(value)]
+    assert not hasattr(value, "__dict__")
+    assert cls.__slots__ == tuple(fields)
+    with pytest.raises(AttributeError):      # no slot, no dict to fall back on
+        object.__setattr__(value, "extra", None)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+    twin = cls(*(getattr(value, name) for name in fields))
+    again = pickle.loads(pickle.dumps(value))
+    for other in (twin, again):
+        assert other is not value
+        assert other == value and hash(other) == hash(value)
+        assert {value: 1}[other] == 1
