@@ -25,10 +25,9 @@ import functools
 import hashlib
 import hmac as hmac_mod
 import struct
-import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -89,8 +88,8 @@ class Transaction:
 class TxColumn:
     """Payload-free transactions: a read-only int64 id column and one
     nominal size, encoded exactly as the matching `Transaction` records.
-    The column is a private copy, so a block's cached encoding, digest
-    and content check cannot go stale."""
+    The column is a private copy, so a block's cached digest and content
+    check cannot go stale."""
     ids: np.ndarray
     nominal_size: int = 40
 
@@ -205,11 +204,6 @@ def encode_transaction(tx: Transaction) -> bytes:
 
 
 def encode_block(block: Block) -> bytes:
-    # Blocks are immutable and re-encoded at every simulated node; cache
-    # the encoding on the instance.
-    cached = getattr(block, "_enc", None)
-    if cached is not None:
-        return cached
     parts = [_frame(block.prev_group_hash), _frame(block.merkle),
              _frame(block.bookkeeper_key), _u64(block.timestamp),
              struct.pack(">I", len(block.txs))]
@@ -220,9 +214,7 @@ def encode_block(block: Block) -> bytes:
         parts.append(rows.tobytes())
     else:
         parts.extend(encode_transaction(t) for t in block.txs)
-    out = b"".join(parts)
-    object.__setattr__(block, "_enc", out)
-    return out
+    return b"".join(parts)
 
 
 def block_digest(block: Block) -> bytes:
@@ -447,33 +439,8 @@ class Chain:
     def append(self, group: BlockGroup, config: ConsensusConfig) -> None:
         if group.header.height != self.height + 1:
             raise ChainError(f"height {group.header.height}, expected {self.height + 1}")
-        problems, digest = _checked_group(group, config, self.tip_digest)
+        problems = validate_block_group(group, config, self.tip_digest)
         if problems:
             raise ChainError("; ".join(problems))
         self.groups.append(group)
-        self.digests.append(digest)
-
-
-# The last group `Chain.append` checked:
-# (weak reference to the group, prev digest, config, problems, group digest).
-# Every node appends a round's one sealed group before the next round
-# starts, so one entry lets the nodes share one validation.  The weak
-# reference keeps no group alive, and once dead it matches no group.
-_last_check: Optional[tuple] = None
-
-
-def _checked_group(group: BlockGroup, config: ConsensusConfig,
-                   prev_group_hash: bytes) -> tuple[tuple[str, ...], Optional[bytes]]:
-    """`validate_block_group` and, for a valid group, `group_digest`,
-    computed once for the same group object, chain tip and config."""
-    global _last_check
-    last = _last_check
-    if (last is not None and last[0]() is group
-            and last[1] == prev_group_hash and last[2] == config):
-        return last[3], last[4]
-    problems = tuple(validate_block_group(group, config, prev_group_hash))
-    digest = None if problems else group_digest(group)
-    _last_check = (weakref.ref(group), prev_group_hash, config, problems,
-                   digest)
-    return problems, digest
-
+        self.digests.append(group_digest(group))

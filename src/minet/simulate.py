@@ -6,7 +6,10 @@ grabs the sender's uplink and the receiver's downlink together, so
 broadcasts serialize on the sender's uplink and fan-ins serialize on the
 receiver's downlink.  Message sizes are nominal accounting values from
 the size parameters; the structures that actually flow carry real
-digests and signatures so chain agreement is checked end to end.
+digests and signatures.  A run keeps one chain for all its nodes: every
+node starts from the same genesis and appends the same sealed group, so
+no two nodes' copies can differ, and one validation per round stands
+for every node's.
 
 A round walks four steps, each started only once the previous one is
 complete:
@@ -30,9 +33,9 @@ nanoseconds, so identical configs replay bit-identically.
 A crash at round r silences the node from round r onward.  Every node
 is that round's leader or one of its voters, so round r stalls: with
 "header never sealed" when the leader crashed, else with the voters
-whose votes are missing.  A round whose group some node refuses stalls
-too.  A stalled round ends the run with a diagnostic — it is flagged,
-never silently recovered.
+whose votes are missing.  A round whose group the chain refuses stalls
+too, naming every node as refusing it.  A stalled round ends the run
+with a diagnostic — it is flagged, never silently recovered.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class RoundMetrics:
     t4: float
     t_cons: float
     committed_txs: int
-    forked: bool
+    forked: bool = False        # one chain per run: never True
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,7 @@ class SimSummary:
     mean_step_seconds: tuple[float, float, float, float]
     committed_total: int
     throughput_txs_per_sec: float
-    divergences: int
+    divergences: int            # one chain per run: always 0
     stalled_round: Optional[int]
     stall_reason: str
 
@@ -192,14 +195,14 @@ class _Round:
         self.height = height
         self.t0 = t0
         n = self.cfg.node_count
-        self.leader = sim.chains[0].next_leader
+        self.leader = sim.chain.next_leader
         if self.cfg.leader_in_consortium:
             self.consortium = list(range(n))
         else:
             self.consortium = [x for x in range(n) if x != self.leader]
         self.rcfg = ConsensusConfig(n_c=len(self.consortium),
                                     max_txs=self.cfg.txs_per_block)
-        self.prev_digest = sim.chains[0].tip_digest
+        self.prev_digest = sim.chain.tip_digest
         self.metrics: Optional[RoundMetrics] = None
         self.end = t0
 
@@ -258,25 +261,22 @@ class _Round:
             t3_end = sim.reserve(self.leader, recv, sim.result_bytes, t_seal)
 
         # step 4: every node appends the group, in header arrival order;
-        # all assemble the same group from the same header and blocks
-        refusals = []
+        # all assemble the same group from the same header and blocks onto
+        # the same tip, so the run's one chain appends it once for all
         group = assemble_group(header, blocks)
-        for node in [self.leader] + ring:
-            try:
-                sim.chains[node].append(group, self.rcfg)
-            except ChainError as exc:
-                refusals.append(f"node {node} refused group: {exc}")
-        if refusals:
-            return "; ".join(refusals)
+        try:
+            sim.chain.append(group, self.rcfg)
+        except ChainError as exc:
+            return "; ".join(f"node {node} refused group: {exc}"
+                             for node in [self.leader] + ring)
         self.end = t3_end + comp[3]
         t1 = (t1_end - self.t0) / NS
         t2 = (t2_end - t1_end) / NS
         t3 = (t3_end - t2_end) / NS
         t4 = (self.end - t3_end) / NS
-        tips = {chain.tip_digest for chain in sim.chains}
         self.metrics = RoundMetrics(
             self.height, t1, t2, t3, t4, t1 + t2 + t3 + t4,
-            sum(len(b.txs) for b in group.body), forked=len(tips) > 1)
+            sum(len(b.txs) for b in group.body))
         return ""
 
     def _build_block(self, bookkeeper: int) -> Block:
@@ -306,7 +306,7 @@ class _Sim:
     def __init__(self, config: SimConfig):
         self.cfg = config
         n = config.node_count
-        self.chains = [Chain(config.first_leader) for _ in range(n)]
+        self.chain = Chain(config.first_leader)
         self.up_free = [0] * n
         self.down_free = [0] * n
         self.band = int(config.band)
@@ -347,7 +347,6 @@ class _Sim:
 def run_rounds(config: SimConfig) -> SimResult:
     sim = _Sim(config)
     rounds: list[RoundMetrics] = []
-    divergences = 0
     stalled_round: Optional[int] = None
     stall_reason = ""
     clock = 0
@@ -362,8 +361,6 @@ def run_rounds(config: SimConfig) -> SimResult:
         m = rnd.metrics
         rounds.append(m)
         committed_total += m.committed_txs
-        if m.forked:
-            divergences += 1
         clock = rnd.end
 
     total_seconds = clock / NS
@@ -382,7 +379,7 @@ def run_rounds(config: SimConfig) -> SimResult:
         mean_step_seconds=mean_steps,
         committed_total=committed_total,
         throughput_txs_per_sec=throughput,
-        divergences=divergences,
+        divergences=0,
         stalled_round=stalled_round,
         stall_reason=stall_reason,
     )

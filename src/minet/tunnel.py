@@ -170,8 +170,12 @@ def read_interest_log(path) -> list[InterestPacket]:
         buf = fh.read()
     pos = 0
     while pos < len(buf):
+        if pos + 4 > len(buf):
+            raise ValueError("truncated interest log")
         (n,) = struct.unpack_from("!I", buf, pos)
         pos += 4
+        if pos + n > len(buf):
+            raise ValueError("truncated interest log")
         out.append(InterestPacket.decode(buf[pos:pos + n]))
         pos += n
     return out

@@ -284,7 +284,7 @@ def test_tally_matches_brute_force_count():
     assert validate_block_group(group, CFG, chain.tip_digest) == []
 
 
-def test_shared_validation_refuses_what_direct_validation_refuses():
+def test_chain_append_refuses_what_direct_validation_refuses():
     header, blocks, _ = _round(Chain(), dissent=(0,))
     good = assemble_group(header, blocks)
     b0 = good.body[0]

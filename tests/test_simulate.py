@@ -39,9 +39,9 @@ def test_zero_compute_matches_structural_transmission_exactly():
 
 
 def test_simulated_chain_bytes_are_pinned(monkeypatch):
-    # sha256 over every group node 0 stores, then every node's tip digest,
-    # pinned with blocks built from Transaction records: the id-column
-    # form must give the same bytes
+    # sha256 over every group the run's chain stores, then its tip digest
+    # once for each node that holds it, pinned with blocks built from
+    # Transaction records: the id-column form must give the same bytes
     sims = []
 
     class Recording(simulate._Sim):
@@ -57,10 +57,10 @@ def test_simulated_chain_bytes_are_pinned(monkeypatch):
     assert res.summary.rounds_completed == 3
     (sim,) = sims
     h = hashlib.sha256()
-    for group in sim.chains[0].groups:
+    for group in sim.chain.groups:
         h.update(apov.encode_block_group(group))
-    for chain in sim.chains:
-        h.update(chain.tip_digest)
+    for _ in range(cfg.node_count):
+        h.update(sim.chain.tip_digest)
     assert h.hexdigest() == ("46b6b7161f6ea3d8da66f1fa87a503a1"
                              "bd4d15cc42c732314854109d035090cf")
 
@@ -88,6 +88,21 @@ def test_each_sealed_group_is_validated_once_per_round(monkeypatch):
     n_b, n_c = n, n - 1
     assert checked == 2 * n_c * n_b
     assert assembled == 2
+
+
+def test_each_round_appends_its_group_once(monkeypatch):
+    appends = 0
+    append = apov.Chain.append
+
+    def counting(self, group, config):
+        nonlocal appends
+        appends += 1
+        return append(self, group, config)
+
+    monkeypatch.setattr(apov.Chain, "append", counting)
+    res = run_rounds(_small(n=8, rounds=2, k=10))
+    assert res.summary.rounds_completed == 2
+    assert appends == 2
 
 
 def test_each_block_merkle_root_is_computed_once_per_round(monkeypatch):

@@ -125,6 +125,13 @@ def test_interest_log_round_trip(tmp_path):
     path = tmp_path / "interests.bin"
     write_interest_log(path, conn.interest_log)
     assert read_interest_log(path) == conn.interest_log
+    full = path.read_bytes()
+    first_len = int.from_bytes(full[:4], "big")
+    # cut inside the first length prefix, then inside the first record
+    for cut in (full[:2], full[:4 + first_len - 1]):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="truncated interest log"):
+            read_interest_log(path)
 
 
 def test_establish_three_exchanges_all_modes():
