@@ -3,25 +3,20 @@
 Every stored name keeps its whole prefix chain indexed (reconstruction),
 so membership of a query's prefixes is monotone in length and longest
 prefix match can binary-search prefix lengths instead of scanning them.
-Entries carry one of three states:
-
-* real: has forwarding info (an inserted name).
-* virtual: filler with no real entry above it.
-* semi-virtual: filler with at least one real ancestor; a lookup that
-  lands here backtracks parent links to the nearest real ancestor
-  without further hash probes.
+An entry is real when it has forwarding info (an inserted name) and a
+filler otherwise.  A filler's state is derived, never stored: it is
+semi-virtual when a real entry lies above it, so a lookup that lands
+there walks parent links to that entry without further hash probes, and
+virtual when none does.
 
 The table is stored as columns.  `index` maps a prefix's text to its
-node id, and a node id is a position in every column: `state` (a
-bytearray of EntryState values), `parent` (an int32 array, -1 at depth
-1), `forwarding` (None unless real) and `component` (the last component
-of the prefix).  Children hang off int32 link columns, -1 meaning none:
-`first_child` is indexed by parent id + 1, so slot 0 heads the depth-1
-names, and `next_sibling` / `prev_sibling` chain each parent's children,
-newest first, so a node unlinks in O(1).  `bindings` holds a list only
-for bound ids.  `delete` puts the ids it frees on the `free` list, with
-no component or forwarding, and new entries take ids from there first,
-so the columns do not grow across churn.
+node id, and a node id is a position in every column: `parent` (an
+int32 array, -1 at depth 1), `children` (an int32 count of the entries
+one level below), `forwarding` (None unless real) and `component` (the
+last component of the prefix).  `bindings` holds a list only for bound
+ids.  `delete` puts the ids it frees on the `free` list, with no
+component or forwarding, and new entries take ids from there first, so
+the columns do not grow across churn.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Optional
+from typing import Optional
 
 from minet.names import ContentName, ForwardingInfo, Identifier, IdKind
 
@@ -72,9 +67,6 @@ class LookupResult:
     probes: int
 
 
-_REAL, _VIRTUAL, _SEMI_VIRTUAL = map(int, EntryState)
-
-
 def _ends(components: tuple[str, ...]) -> list[int]:
     """Where each prefix of ``/c1/.../cN`` ends in its text, shortest
     first, so a prefix is a slice of the text rather than a new join."""
@@ -91,13 +83,10 @@ class Hpt:
 
     def __init__(self) -> None:
         self.index: dict[str, int] = {}
-        self.state = bytearray()
         self.parent = array("i")
+        self.children = array("i")
         self.forwarding: list[Optional[ForwardingInfo]] = []
         self.component: list[Optional[str]] = []
-        self.first_child = array("i", [-1])
-        self.next_sibling = array("i")
-        self.prev_sibling = array("i")
         self.bindings: dict[int, list[Identifier]] = {}
         self.free: list[int] = []
         self.alt_index: dict[Identifier, ContentName] = {}
@@ -110,6 +99,19 @@ class Hpt:
     def real_count(self) -> int:
         return len(self.forwarding) - self.forwarding.count(None)
 
+    def state(self, nid: int) -> EntryState:
+        """Real with forwarding, else semi-virtual below a real entry,
+        else virtual."""
+        forwarding, parent = self.forwarding, self.parent
+        if forwarding[nid] is not None:
+            return EntryState.REAL
+        nid = parent[nid]
+        while nid != -1:
+            if forwarding[nid] is not None:
+                return EntryState.SEMI_VIRTUAL
+            nid = parent[nid]
+        return EntryState.VIRTUAL
+
     # -- mutation ------------------------------------------------------
 
     def insert(self, name: ContentName, forwarding: ForwardingInfo) -> None:
@@ -118,9 +120,6 @@ class Hpt:
         nid = self.index.get(text)
         if nid is not None:
             self.forwarding[nid] = forwarding
-            if self.state[nid] != _REAL:
-                # a filler turns real: virtual entries below gain a real ancestor
-                self._recolor(nid, _REAL, _VIRTUAL, _SEMI_VIRTUAL)
             return
         comps = name.components
         ends = _ends(comps)
@@ -131,99 +130,59 @@ class Hpt:
             if parent != -1:
                 break
             depth -= 1
-        filler = (_VIRTUAL if parent == -1 or self.state[parent] == _VIRTUAL
-                  else _SEMI_VIRTUAL)
         for d in range(depth, len(comps) - 1):
-            parent = self._add(text[:ends[d]], comps[d], filler, parent, None)
-        self._add(text, comps[-1], _REAL, parent, forwarding)
+            parent = self._add(text[:ends[d]], comps[d], parent, None)
+        self._add(text, comps[-1], parent, forwarding)
 
-    def _add(self, text: str, component: str, state: int, parent: int,
+    def _add(self, text: str, component: str, parent: int,
              forwarding: Optional[ForwardingInfo]) -> int:
-        """Index a new entry at the head of `parent`'s children, reusing a
-        free id if any (a freed id was a leaf, so it has no children)."""
-        head = self.first_child[parent + 1]
+        """Index a new child of `parent`, reusing a free id if any (a freed
+        id was a leaf, so its child count is 0)."""
         if self.free:
             nid = self.free.pop()
-            self.state[nid] = state
             self.parent[nid] = parent
             self.forwarding[nid] = forwarding
             self.component[nid] = component
-            self.next_sibling[nid] = head
-            self.prev_sibling[nid] = -1
         else:
-            nid = len(self.state)
-            self.state.append(state)
+            nid = len(self.parent)
             self.parent.append(parent)
+            self.children.append(0)
             self.forwarding.append(forwarding)
             self.component.append(component)
-            self.next_sibling.append(head)
-            self.prev_sibling.append(-1)
-            self.first_child.append(-1)
-        if head != -1:
-            self.prev_sibling[head] = nid
-        self.first_child[parent + 1] = nid
+        if parent != -1:
+            self.children[parent] += 1
         self.index[text] = nid
         return nid
 
-    def _recolor(self, nid: int, state: int, old: int, new: int) -> None:
-        """Set `nid` to `state` and the `old` region hanging from it to `new`.
-        Nothing virtual sits below a non-virtual entry and real entries
-        shield their subtrees, so the walk stops at any other state."""
-        self.state[nid] = state
-        stack = [nid]
-        while stack:
-            child = self.first_child[stack.pop() + 1]
-            while child != -1:
-                if self.state[child] == old:
-                    self.state[child] = new
-                    stack.append(child)
-                child = self.next_sibling[child]
-
     def delete(self, name: ContentName) -> None:
-        """Remove a real entry; fillers demote or unlink as needed."""
+        """Remove a real entry; a leaf is freed with the fillers above it
+        that it leaves childless."""
         text = name.text
         nid = self.index.get(text)
-        if nid is None or self.state[nid] != _REAL:
+        if nid is None or self.forwarding[nid] is None:
             return
         self.forwarding[nid] = None
         for alt in self.bindings.pop(nid, ()):
             self.alt_index.pop(alt, None)
-        if self.first_child[nid + 1] != -1:
-            parent = self.parent[nid]
-            if parent != -1 and self.state[parent] != _VIRTUAL:
-                self.state[nid] = _SEMI_VIRTUAL
-                return
-            # no real ancestor is left, so the region demotes to virtual
-            self._recolor(nid, _VIRTUAL, _SEMI_VIRTUAL, _VIRTUAL)
-            return
-        # Leaf: unlink and free it, then free non-real ancestors that
-        # became leaves.
         ends = _ends(name.components)
-        while True:
+        while not self.children[nid]:
             parent = self.parent[nid]
             del self.index[text[:ends.pop()]]
-            prev, nxt = self.prev_sibling[nid], self.next_sibling[nid]
-            if prev == -1:
-                self.first_child[parent + 1] = nxt
-            else:
-                self.next_sibling[prev] = nxt
-            if nxt != -1:
-                self.prev_sibling[nxt] = prev
             self.component[nid] = None
             self.free.append(nid)
-            if (parent == -1 or self.state[parent] == _REAL
-                    or self.first_child[parent + 1] != -1):
+            if parent == -1:
+                return
+            self.children[parent] -= 1
+            if self.forwarding[parent] is not None:
                 return
             nid = parent
 
     # -- lookup ----------------------------------------------------------
 
     def lookup_lpm(self, name: ContentName) -> LookupResult:
-        """Binary search on prefix lengths; backtrack from semi-virtual hits.
-
-        On an inconsistent table (semi-virtual entry without a real
-        ancestor) this degrades to a miss rather than raising.
-        """
+        """Binary search on prefix lengths, then walk parent links from a
+        filler terminal to the nearest real ancestor; the walk makes no
+        hash probes, and a filler with none above it is a miss."""
         text = name.text
         ends = _ends(name.components)
         lo, hi = 1, len(ends)
@@ -240,17 +199,14 @@ class Hpt:
                 lo = mid + 1
             else:
                 hi = mid - 1
-        state = self.state
-        if last != -1 and state[last] != _VIRTUAL:
-            # A real terminal matches; a semi-virtual one walks parent
-            # links to the nearest real ancestor.
-            while last != -1 and state[last] != _REAL:
-                last = self.parent[last]
-                last_len -= 1
-            if last != -1:
-                return LookupResult(True, name.prefix(last_len),
-                                    self.forwarding[last], probes)
-        return LookupResult(False, None, None, probes)
+        forwarding = self.forwarding
+        while last != -1 and forwarding[last] is None:
+            last = self.parent[last]
+            last_len -= 1
+        if last == -1:
+            return LookupResult(False, None, None, probes)
+        return LookupResult(True, name.prefix(last_len), forwarding[last],
+                            probes)
 
     def lookup_oracle(self, name: ContentName) -> LookupResult:
         """Reference route: scan prefixes longest-first for a real entry."""
@@ -260,7 +216,7 @@ class Hpt:
         for k in range(len(ends), 0, -1):
             probes += 1
             nid = self.index.get(text[:ends[k - 1]])
-            if nid is not None and self.state[nid] == _REAL:
+            if nid is not None and self.forwarding[nid] is not None:
                 return LookupResult(True, name.prefix(k),
                                     self.forwarding[nid], probes)
         return LookupResult(False, None, None, probes)
@@ -271,7 +227,7 @@ class Hpt:
         if alt.kind is IdKind.CONTENT:
             raise ValueError("content identifiers resolve directly; nothing to bind")
         nid = self.index.get(content.text)
-        if nid is None or self.state[nid] != _REAL:
+        if nid is None or self.forwarding[nid] is None:
             raise UnknownContent(content.text)
         if alt in self.alt_index:
             raise DuplicateBinding(alt.text)
@@ -291,56 +247,38 @@ class Hpt:
     def verify_integrity(self) -> list[str]:
         """Return every invariant violation found (empty when healthy)."""
         problems: list[str] = []
-        seen: set[str] = set()
-        stack: list[tuple[int, str, bool]] = [(-1, "", False)]
-        while stack:
-            parent, ptext, real_above = stack.pop()
-            prev, nid = -1, self.first_child[parent + 1]
-            while nid != -1:
-                text = f"{ptext}/{self.component[nid]}"
-                if text in seen:
-                    # stop here: a sibling link may loop back
-                    problems.append(f"{text}: duplicated in tree")
-                    break
-                seen.add(text)
-                if self.prev_sibling[nid] != prev:
-                    problems.append(f"{text}: broken sibling link")
-                if self.index.get(text) != nid:
-                    problems.append(f"{text}: tree node missing from index")
-                if self.parent[nid] != parent:
-                    problems.append(f"{text}: broken parent link")
-                state = self.state[nid]
-                if state == _REAL:
-                    if self.forwarding[nid] is None:
-                        problems.append(f"{text}: real entry without forwarding")
-                else:
-                    if self.forwarding[nid] is not None:
-                        problems.append(f"{text}: non-real entry carries forwarding")
-                    if self.first_child[nid + 1] == -1:
-                        problems.append(f"{text}: non-real leaf")
-                    if state == _VIRTUAL and real_above:
-                        problems.append(f"{text}: virtual below a real entry")
-                    if state == _SEMI_VIRTUAL and not real_above:
-                        problems.append(f"{text}: semi-virtual without real ancestor")
-                    if nid in self.bindings:
-                        problems.append(f"{text}: bindings on non-real entry")
-                stack.append((nid, text, real_above or state == _REAL))
-                prev, nid = nid, self.next_sibling[nid]
-        for text in self.index:
-            if text not in seen:
-                problems.append(f"{text}: indexed but unreachable from tree")
-            head = text.rsplit("/", 1)[0]
-            if head and head not in self.index:
+        index = self.index
+        counts = [0] * len(self.parent)
+        for text, nid in index.items():
+            head, _, last = text.rpartition("/")
+            up = index.get(head, -1)
+            if head and up == -1:
                 problems.append(f"{text}: prefix chain broken at {head}")
-        if len(self.index) + len(self.free) != len(self.state):
+            elif self.parent[nid] != up:
+                problems.append(f"{text}: broken parent link")
+            if up != -1:
+                counts[up] += 1
+            if self.component[nid] != last:
+                problems.append(f"{text}: component is {self.component[nid]!r}")
+            if self.forwarding[nid] is None:
+                if not self.children[nid]:
+                    problems.append(f"{text}: non-real leaf")
+                if nid in self.bindings:
+                    problems.append(f"{text}: bindings on non-real entry")
+        for text, nid in index.items():
+            if self.children[nid] != counts[nid]:
+                problems.append(f"{text}: child count {self.children[nid]} "
+                                f"!= {counts[nid]}")
+        ids = set(index.values()).union(self.free)
+        if not len(ids) == len(index) + len(self.free) == len(self.parent):
             problems.append("some ids are neither indexed nor free")
         for alt, cname in self.alt_index.items():
-            nid = self.index.get(cname.text)
-            if nid is None or self.state[nid] != _REAL:
+            nid = index.get(cname.text)
+            if nid is None or self.forwarding[nid] is None:
                 problems.append(f"{alt.text}: bound to missing/non-real {cname.text}")
             elif alt not in self.bindings.get(nid, ()):
                 problems.append(f"{alt.text}: reverse map not mirrored on {cname.text}")
-        for text, nid in self.index.items():
+        for text, nid in index.items():
             for alt in self.bindings.get(nid, ()):
                 if self.alt_index.get(alt) is None or self.alt_index[alt].text != text:
                     problems.append(f"{text}: binding {alt.text} not in reverse map")
@@ -356,7 +294,7 @@ class Hpt:
             fwd = self.forwarding[nid]
             face = str(fwd.face_id) if fwd else "-"
             binds = ",".join(alt.text for alt in self.bindings.get(nid, ()))
-            lines.append(f"{text}\t{_STATE_TOKEN[self.state[nid]]}\t{face}\t{binds}")
+            lines.append(f"{text}\t{_STATE_TOKEN[self.state(nid)]}\t{face}\t{binds}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -393,17 +331,10 @@ class Hpt:
             nid = fib.index.get(name_text)
             if nid is None:
                 mismatches.append(f"{name_text}: missing after replay")
-            elif fib.state[nid] != state:
+            elif fib.state(nid) != state:
                 mismatches.append(
-                    f"{name_text}: state {_STATE_TOKEN[fib.state[nid]]} != "
+                    f"{name_text}: state {_STATE_TOKEN[fib.state(nid)]} != "
                     f"dumped {_STATE_TOKEN[state]}")
         if mismatches:
             raise LoadError("; ".join(mismatches[:20]))
         return fib
-
-    # -- iteration ----------------------------------------------------------
-
-    def entries(self) -> Iterator[tuple[str, EntryState]]:
-        """(text, state) of every indexed entry."""
-        return ((text, EntryState(self.state[nid]))
-                for text, nid in self.index.items())

@@ -4,7 +4,10 @@ Names are fingerprinted by rolling a 64-bit FNV-1a over per-component
 vocabulary ids, one numpy step per name column; the open-addressing
 table maps fingerprints to the Hpt's own node ids, and the per-node
 arrays are indexed by them; a free id keeps its slot in those arrays
-(depth 0, face -1) but never enters the table.  The build rejects any
+(depth 0, face -1) but never enters the table.  The Hpt stores no filler
+states, so the build derives them in the same depth order as the
+fingerprints: a node is real when it has a face, semi-virtual when a
+real node lies above it, and virtual otherwise.  The build rejects any
 salt under which two table keys share a fingerprint and rebuilds with
 the next, so the table itself is injective.  Query prefixes are not
 checked against it: a query prefix that is no table key but whose
@@ -22,7 +25,7 @@ from itertools import chain, count as counter, repeat
 import numpy as np
 
 from minet.names import ContentName
-from minet.hpt.fib import Hpt
+from minet.hpt.fib import EntryState, Hpt
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -61,10 +64,9 @@ def _seed(salt: int) -> np.uint64:
 
 def pack_fib(hpt: Hpt) -> PackedFib:
     """Array snapshot of `hpt`, indexed by the table's own node ids."""
-    count = len(hpt.state)
+    count = len(hpt.parent)
     live = np.fromiter(hpt.index.values(), dtype=np.int32,
                        count=len(hpt.index))
-    state = np.array(hpt.state, dtype=np.uint8)
     parent = np.array(hpt.parent, dtype=np.int32)
     face = np.fromiter(
         (-1 if f is None else f.face_id for f in hpt.forwarding),
@@ -82,6 +84,15 @@ def pack_fib(hpt: Hpt) -> PackedFib:
     bounds = np.searchsorted(depth[order],
                              np.arange(1, int(depth.max(initial=0)) + 2))
     levels = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # Whether a real entry lies at or above each node; the extra last
+    # slot is the empty name's, so parent -1 reads False.
+    real = face != -1
+    covered = np.zeros(count + 1, dtype=bool)
+    for nids in levels:
+        covered[nids] = real[nids] | covered[parent[nids]]
+    state = np.where(real, EntryState.REAL, np.where(
+        covered[parent], EntryState.SEMI_VIRTUAL,
+        EntryState.VIRTUAL)).astype(np.uint8)
     size = 1
     while size < max(8, 2 * live.size):
         size *= 2

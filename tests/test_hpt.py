@@ -23,7 +23,7 @@ F = ForwardingInfo
 
 
 def states(fib):
-    return dict(fib.entries())
+    return {text: fib.state(nid) for text, nid in fib.index.items()}
 
 
 def test_insert_creates_virtual_chain():
@@ -126,33 +126,26 @@ def test_columns_do_not_grow_across_churn():
     for face in range(1000):
         fib.insert(name, F(face))
         fib.bind_identifier(name, Identifier.identity("u"))
-        assert max(map(len, (fib.state, fib.parent, fib.forwarding,
-                             fib.component, fib.next_sibling,
-                             fib.prev_sibling))) <= 3
-        assert len(fib.first_child) <= 4
+        assert max(map(len, (fib.parent, fib.children, fib.forwarding,
+                             fib.component))) <= 3
         fib.delete(name)
         assert len(fib.index) == 0
-    # no id heads a child list any more, the depth-1 slot included
-    assert set(fib.first_child) == {-1}
+    assert set(fib.children) == {0}
     assert (fib.bindings, fib.alt_index) == ({}, {})
     assert fib.verify_integrity() == []
 
 
 def child_ids(fib, nid):
-    """Ids linked under `nid` (-1: the depth-1 names), head first."""
-    ids = []
-    child = fib.first_child[nid + 1]
-    while child != -1:
-        ids.append(child)
-        child = fib.next_sibling[child]
-    return ids
+    """Ids indexed directly under `nid` (-1: the depth-1 names), in
+    insertion order."""
+    return [i for i in fib.index.values() if fib.parent[i] == nid]
 
 
 def test_unlink_head_middle_and_tail_under_wide_fan_out():
-    """Deleting the head, a middle and the tail sibling of a 1,200-wide
-    list, at depth 1 and at depth 2, leaves the table equal to one rebuilt
-    from the surviving names; so does emptying it and refilling the
-    freed ids."""
+    """Deleting the first-, a middle- and the last-inserted child of a
+    1,200-wide parent, at depth 1 and at depth 2, leaves the table equal
+    to one rebuilt from the surviving names; so does emptying it and
+    refilling the freed ids."""
     fan = 1200
     faces = {}
     for i in range(fan):
@@ -170,16 +163,18 @@ def test_unlink_head_middle_and_tail_under_wide_fan_out():
         assert fib.dump() == rebuilt.dump()
 
     for parent in (-1, fib.index["/w"]):
-        for pick in (0, fan // 2, -1):             # head, middle, tail
+        for pick in (0, fan // 2, -1):             # first, middle, last
             ids = child_ids(fib, parent)
             assert len(ids) > fan // 2
             nid = ids[pick]
-            assert fib.state[nid] == EntryState.REAL
+            assert fib.state(nid) == EntryState.REAL
             text = next(t for t, i in fib.index.items() if i == nid)
             fib.delete(N(text))
             del faces[text]
             assert child_ids(fib, parent) == ids[:pick % len(ids)] + (
                 ids[pick % len(ids) + 1:])
+            if parent != -1:
+                assert fib.children[parent] == len(ids) - 1
             matches_rebuild()
 
     survivors = list(faces.items())
@@ -189,14 +184,14 @@ def test_unlink_head_middle_and_tail_under_wide_fan_out():
         del faces[text]
         if step % 600 == 0:
             matches_rebuild()
-    assert (len(fib), fib.dump(), set(fib.first_child)) == (0, "", {-1})
+    assert (len(fib), fib.dump(), set(fib.children)) == (0, "", {0})
     assert fib.verify_integrity() == []
 
-    size = len(fib.state)
+    size = len(fib.parent)
     faces = dict(survivors)
     for text, face in survivors:
         fib.insert(N(text), F(face))
-    assert len(fib.state) == size        # every new entry took a freed id
+    assert len(fib.parent) == size       # every new entry took a freed id
     matches_rebuild()
 
 
@@ -319,23 +314,33 @@ def test_load_rejects_mismatched_states():
         Hpt.load(bad)
 
 
-def test_verify_integrity_flags_forced_corruption():
+def _three_children():
     fib = Hpt()
-    fib.insert(N("/a/b"), F(1))
-    # no real ancestor exists
-    fib.state[fib.index["/a"]] = EntryState.SEMI_VIRTUAL
-    problems = fib.verify_integrity()
-    assert any("semi-virtual without real ancestor" in p for p in problems)
-
-
-def test_verify_integrity_flags_broken_sibling_link():
-    fib = Hpt()
-    for text in ("/a/x", "/a/y", "/a/z"):
+    for text in ("/a/x", "/a/y", "/a/z", "/b"):
         fib.insert(N(text), F(1))
-    second = fib.next_sibling[fib.first_child[fib.index["/a"] + 1]]
-    fib.prev_sibling[second] = -1           # claims to head the list
+    return fib
+
+
+def test_verify_integrity_flags_forced_corruption():
+    fib = _three_children()
+    fib.children[fib.index["/a"]] = 0        # a filler that looks childless
     assert fib.verify_integrity() == [
-        f"/a/{fib.component[second]}: broken sibling link"]
+        "/a: non-real leaf", "/a: child count 0 != 3"]
+    fib = _three_children()
+    fib.children[fib.index["/a/y"]] = 1
+    assert fib.verify_integrity() == ["/a/y: child count 1 != 0"]
+
+
+def test_verify_integrity_flags_broken_parent_link():
+    fib = _three_children()
+    fib.parent[fib.index["/a/x"]] = fib.index["/b"]
+    assert fib.verify_integrity() == ["/a/x: broken parent link"]
+
+
+def test_verify_integrity_flags_wrong_component():
+    fib = _three_children()
+    fib.component[fib.index["/a/y"]] = "q"
+    assert fib.verify_integrity() == ["/a/y: component is 'q'"]
 
 
 def test_insert_order_independence():

@@ -1,12 +1,14 @@
 """Stateful differential tests of the forwarding table.
 
 A hypothesis state machine inserts, re-inserts, deletes, binds and
-translates names over a tiny alphabet, so fillers are promoted and
-demoted often, and checks after every step that the table agrees with a
-plain dict of routes, with its own oracle route and with its dump.  A
-repack rule runs both batch kernels against the dict routes.  The second
-copy narrows the packed fingerprints under the first salts, so every
-repack meets key collisions and has to move to a later salt.
+translates names over a tiny alphabet, so fillers gain and lose real
+ancestors often, and checks after every step that the table agrees with
+a plain dict of routes, with its own oracle route and with its dump, and
+that every entry's derived state follows from the routes.  A repack rule
+runs both batch kernels against the dict routes and checks the states
+the packer derives.  The second copy narrows the packed fingerprints
+under the first salts, so every repack meets key collisions and has to
+move to a later salt.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from hypothesis.stateful import (
 
 from minet.hpt import (
     DuplicateBinding,
+    EntryState,
     Hpt,
     NotBound,
     UnknownContent,
@@ -67,6 +70,16 @@ class TableMachine(RuleBasedStateMachine):
             if fwd is not None:
                 return True, k, fwd.face_id
         return False, 0, -1
+
+    def expected_state(self, text):
+        """REAL if stored, SEMI_VIRTUAL under a stored proper prefix,
+        VIRTUAL otherwise."""
+        if text in self.routes:
+            return EntryState.REAL
+        name = ContentName.parse(text)
+        if any(name.prefix(k).text in self.routes for k in range(1, len(name))):
+            return EntryState.SEMI_VIRTUAL
+        return EntryState.VIRTUAL
 
     def present(self, data):
         text = data.draw(st.sampled_from(sorted(self.routes)))
@@ -128,6 +141,8 @@ class TableMachine(RuleBasedStateMachine):
         packed = pack_fib(self.fib)
         if self.expected_salt is not None:
             assert packed.salt == self.expected_salt
+        for text, nid in self.fib.index.items():
+            assert packed.state[nid] == self.expected_state(text), text
         queries = list(extra) + [ContentName((UNSEEN,))]
         for text in self.fib.index:
             comps = ContentName.parse(text).components
@@ -154,6 +169,11 @@ class TableMachine(RuleBasedStateMachine):
     def integrity(self):
         assert self.fib.verify_integrity() == []
         assert self.fib.real_count() == len(self.routes)
+
+    @invariant()
+    def states_follow_routes(self):
+        for text, nid in self.fib.index.items():
+            assert self.fib.state(nid) == self.expected_state(text), text
 
     @invariant()
     def routes_agree(self):

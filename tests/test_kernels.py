@@ -87,7 +87,7 @@ def test_backtracking_visible_to_kernel():
     fib.insert(ContentName.parse("/a/p/q/r"), ForwardingInfo(2))
     fib.insert(ContentName.parse("/a"), ForwardingInfo(7))
     # /a/p and /a/p/q are semi-virtual: the walk climbs two levels.
-    assert fib.state[fib.index["/a/p/q"]] == EntryState.SEMI_VIRTUAL
+    assert fib.state(fib.index["/a/p/q"]) == EntryState.SEMI_VIRTUAL
     queries = [ContentName.parse(t) for t in
                ("/a/b/x", "/a/p/q/x", "/a", "/z", "/a/p/q/r/s")]
     (hit, node, mlen, probes), _ = _assert_matches_dict(fib, queries)
@@ -155,7 +155,8 @@ def test_pack_queries_matches_scalar_reference():
 
 def test_pack_fib_matches_per_node_reference():
     fib, _ = _build("mixed", 4)
-    real = [text for text, state in fib.entries() if state == EntryState.REAL]
+    real = [text for text, nid in fib.index.items()
+            if fib.state(nid) == EntryState.REAL]
     for text in real[::5]:
         fib.delete(ContentName.parse(text))
     assert fib.free     # freed ids stay in the arrays but not in the table
@@ -167,7 +168,6 @@ def test_pack_fib_matches_per_node_reference():
         range(1, len(packed.vocab) + 1))
     assert set(packed.vocab) == {
         c for t in fib.index for c in t.split("/")[1:]}
-    states = dict(fib.entries())
     for text, nid in fib.index.items():
         comps = text.split("/")[1:]
         fp = _ref_fingerprints([packed.vocab[c] for c in comps],
@@ -175,7 +175,7 @@ def test_pack_fib_matches_per_node_reference():
         assert _ref_probe(packed, fp) == nid
         up = text.rsplit("/", 1)[0]
         assert int(packed.parent[nid]) == (fib.index[up] if up else -1)
-        assert int(packed.state[nid]) == states[text]
+        assert int(packed.state[nid]) == fib.state(nid)
         assert int(packed.depth[nid]) == len(comps)
         forwarding = fib.forwarding[nid]
         assert int(packed.face[nid]) == (
