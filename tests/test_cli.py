@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import minet
-from minet import perfmodel
+from minet import bench, perfmodel, registry, tunnel
 from minet.cli import run_command
 from minet.workload import WorkloadSpec, generate_entries
 
@@ -303,3 +305,90 @@ def test_registry_demo(tmp_path, capsys):
     assert sidecar["duplicates_rejected"] == 1
     assert (tmp_path / "registry_records.jsonl").exists()
     assert "consistency problems: 0" in capsys.readouterr().out
+
+
+# sha256 of each report's bytes; every figure in them is deterministic
+PINNED_REPORTS = (
+    (["consensus-sim", "--nodes", "5", "--rounds", "3", "--txs-per-block",
+      "50", "--compute-model", "zero", "--fault", "1:invalid_blocks",
+      "--fault", "2:dissenting_votes"],
+     {"consensus_sim.csv": "b58bc1fd5075e17d8d00275cd87a8b5c"
+                           "199ad3466c1ba0e654166c47fef710f3"}),
+    (["consensus-sim", "--nodes", "4", "--rounds", "5", "--txs-per-block",
+      "50", "--fault", "1:crash_at_round:2"],
+     {"consensus_sim.csv": "055df0186c4600c18a71e41f9f644236"
+                           "f6f554fa1ab9cd42eed0bf0c4d3478c8"}),
+    (["model-eval"],
+     {"model_eval.csv": "3c0fe974e14cc28434b8b0e30647efb7"
+                        "5b691064f9b22013c0eb501ddccdeee6"}),
+    (["model-sweep", "--nodes", "3:8", "--speedups", "1,2",
+      "--bands", "125e6,1e8"],
+     {"model_sweep.csv": "b16a082a29d143b796029cbac307044f"
+                         "70b904db1904f22164e7758c85fc147e"}),
+    (["tunnel-demo", "--payload-bytes", "20000"],
+     {"tunnel_demo.csv": "a5319bf74a69bad359e8bad0be205824"
+                         "795bed474149942857719b2d2e12f10c"}),
+    (["tunnel-demo", "--mode", "ip-ccn-ip", "--payload-bytes", "100",
+      "--down", "mir1"],
+     {"tunnel_demo.csv": "893fc1edf3245a5d7562a3c248a6b048"
+                         "d0e091377211df7d87e0c4e043c664c0"}),
+    (["registry-demo", "--identifiers", "24"],
+     {"registry_demo.csv": "dbd078bca52ad195ecb96134341dbc9b"
+                           "b844216ddb8c10ca19cb2367a1bf0fa0",
+      "registry_records.jsonl": "6f26c9a7643f8a51d2869c6abefc5b61"
+                                "0ac0af0cdd7ec53ce9c9212fd2ed2c7f"}),
+)
+
+
+def test_report_bytes_are_pinned(tmp_path, capsys):
+    for i, (argv, digests) in enumerate(PINNED_REPORTS):
+        out = tmp_path / str(i)
+        assert run_command(argv + ["--out", str(out)]) == 0, argv
+        for name, digest in digests.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert got == digest, (argv, name)
+    capsys.readouterr()
+
+
+def _assert_failed(tmp_path, capsys, argv, stem, line):
+    assert run_command(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"FAILED: {line}\n"
+    assert f"report: {tmp_path / stem}.csv" in captured.out
+    assert (tmp_path / f"{stem}.csv").exists()
+    assert (tmp_path / f"{stem}.json").exists()
+
+
+def test_fib_check_divergence_exits_1(tmp_path, capsys, monkeypatch):
+    drill = bench.run_consistency_drill
+    monkeypatch.setattr(bench, "run_consistency_drill", lambda **kw:
+                        dataclasses.replace(drill(**kw), mismatches=1))
+    _assert_failed(tmp_path, capsys, [
+        "fib-check", "--ops", "200", "--lookups", "100",
+        "--check-every", "100"], "fib_check",
+        "table diverged from the reference")
+    _, sidecar = read_report(tmp_path, "fib_check")
+    assert sidecar["clean"] is False and sidecar["mismatches"] == 1
+
+
+def test_tunnel_digest_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    scenario = tunnel.run_scenario
+    monkeypatch.setattr(tunnel, "run_scenario", lambda *a, **kw:
+                        dataclasses.replace(scenario(*a, **kw),
+                                            digest_received="0" * 64))
+    _assert_failed(tmp_path, capsys, [
+        "tunnel-demo", "--mode", "ccn-ip", "--payload-bytes", "100"],
+        "tunnel_demo", "payload digest mismatch")
+    rows, sidecar = read_report(tmp_path, "tunnel_demo")
+    assert sidecar["all_digests_match"] is False
+    assert rows[0]["digests_match"] == "False"
+
+
+def test_registry_inconsistency_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(registry.Hierarchy, "verify_consistency",
+                        lambda self: ["injected problem"])
+    _assert_failed(tmp_path, capsys, [
+        "registry-demo", "--identifiers", "8"], "registry_demo",
+        "registry invariants violated")
+    _, sidecar = read_report(tmp_path, "registry_demo")
+    assert sidecar["consistency_problems"] == ["injected problem"]
