@@ -33,10 +33,6 @@ from .hpt import Hpt, kernels, pack_fib, pack_queries
 from .names import ContentName, ForwardingInfo
 from .workload import WorkloadSpec
 
-SCALING_NOTE = ("desk-scale run: one process, synthetic names, in-memory "
-                "tables; probe counts and ratios are size-determined, "
-                "wall-clock figures scale with the machine")
-
 ROUTES = ("kernel", "dict")
 DRILL_MAX_LEN = 6            # components per churned name; lookups go 2 deeper
 BUILD_MEAN_ENTRY_LEN = 4.0   # mean components per build-scaling entry
@@ -80,6 +76,8 @@ def run_lookup_bench(*, mode: str = "miss", entry_count: int = 100_000,
         raise BenchError(f"unknown route {route!r}; expected one of {ROUTES}")
     if not query_lens:
         raise BenchError("need at least one query length")
+    if query_count < 1:
+        raise BenchError("need at least one query")
     spec = WorkloadSpec(entry_count=entry_count, query_count=query_count,
                         mean_entry_len=mean_entry_len,
                         query_len=query_lens[0], mode=mode, seed=seed)
@@ -151,7 +149,7 @@ def _dict_row(hpt: Hpt, queries, mode, m, n) -> LookupRow:
     for q in queries:
         lin_total += hpt.lookup_oracle(q).probes
     lin_wall = time.perf_counter() - t0
-    count = max(1, len(queries))
+    count = len(queries)
     return _row(mode, m, n, lin_total / count, bin_total / count,
                 lin_wall, bin_wall)
 

@@ -1,8 +1,9 @@
 """Command-line workbench over the library.
 
-Every subcommand writes a CSV report plus a JSON sidecar with the same
-stem into the directory named by --out, echoes a human-readable summary
-to stdout, and shares one exit-code convention:
+Every subcommand echoes a human-readable summary to stdout and returns
+its report to `run_command`, which alone writes the CSV and the JSON
+sidecar with the same stem into the directory named by --out and picks
+the exit code:
 
 * 0 — ran to completion (a simulated stall or injected fault that the
   run was asked to produce still counts as completion);
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, perfmodel, registry, simulate, tunnel
-from .bench import SCALING_NOTE
 from .names import ForwardingInfo, Identifier, ParseError
 from .workload import InfeasibleSpec
 
@@ -58,10 +59,15 @@ def run_command(argv=None) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return ns.handler(ns, out)
+        stem, header, rows, summary, failure = ns.handler(ns, out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _write_report(out, stem, header, rows, summary)
+    if failure is not None:
+        print(f"FAILED: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -238,30 +244,30 @@ def _pair(value: str) -> tuple[int, int]:
 
 # -- report writing ----------------------------------------------------------
 
-def _write_report(out: Path, stem: str, header, rows,
-                  summary: dict) -> tuple[Path, Path]:
+SCALING_NOTE = ("desk-scale run: one process, synthetic names, in-memory "
+                "tables; probe counts and ratios are size-determined, "
+                "wall-clock figures scale with the machine")
+
+
+def _write_report(out: Path, stem: str, header, rows, summary: dict) -> None:
     csv_path = out / f"{stem}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    sidecar = dict(summary)
-    sidecar["csv"] = csv_path.name
-    sidecar["note"] = SCALING_NOTE
     json_path = out / f"{stem}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump({**summary, "csv": csv_path.name, "note": SCALING_NOTE},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return csv_path, json_path
-
-
-def _announce(csv_path: Path, json_path: Path) -> None:
     print(f"report: {csv_path} (+ {json_path.name})")
 
 
 # -- handlers -----------------------------------------------------------------
+# Each returns (stem, header, rows, summary, failure): failure is None or
+# the text run_command prints after "FAILED:".
 
-def _cmd_fib_bench(ns, out: Path) -> int:
+def _cmd_fib_bench(ns, out: Path) -> tuple:
     scaling_sizes = _pair(ns.build_scaling) if ns.build_scaling else None
     report = bench.run_lookup_bench(
         mode=ns.mode, entry_count=ns.entries, query_count=ns.queries,
@@ -306,16 +312,13 @@ def _cmd_fib_bench(ns, out: Path) -> int:
         print(f"  build scaling {small}->{big}: "
               f"{scaling.small.build_wall_s:.3f}s -> "
               f"{scaling.big.build_wall_s:.3f}s (x{scaling.ratio:.2f})")
-    paths = _write_report(
-        out, "fib_bench",
-        ("mode", "mean_entry_len", "query_len", "linear_probes",
-         "binary_probes", "ratio_pct", "linear_wall_s", "binary_wall_s"),
-        rows, summary)
-    _announce(*paths)
-    return 0
+    return ("fib_bench",
+            ("mode", "mean_entry_len", "query_len", "linear_probes",
+             "binary_probes", "ratio_pct", "linear_wall_s", "binary_wall_s"),
+            rows, summary, None)
 
 
-def _cmd_fib_check(ns, out: Path) -> int:
+def _cmd_fib_check(ns, out: Path) -> tuple:
     report = bench.run_consistency_drill(
         operations=ns.ops, lookups=ns.lookups,
         check_every=ns.check_every, seed=ns.seed)
@@ -327,28 +330,13 @@ def _cmd_fib_check(ns, out: Path) -> int:
     rows = [(report.operations, report.lookups, report.integrity_checks,
              report.integrity_problems, report.mismatches,
              report.final_entries, f"{report.wall_s:.4f}")]
-    summary = {
-        "command": "fib-check",
-        "clean": report.clean,
-        "seed": ns.seed,
-        "operations": report.operations,
-        "lookups": report.lookups,
-        "integrity_checks": report.integrity_checks,
-        "integrity_problems": report.integrity_problems,
-        "mismatches": report.mismatches,
-        "final_entries": report.final_entries,
-        "wall_s": report.wall_s,
-    }
-    paths = _write_report(
-        out, "fib_check",
-        ("operations", "lookups", "integrity_checks", "integrity_problems",
-         "mismatches", "final_entries", "wall_s"),
-        rows, summary)
-    _announce(*paths)
-    if not report.clean:
-        print("FAILED: table diverged from the reference", file=sys.stderr)
-        return 1
-    return 0
+    summary = {"command": "fib-check", "clean": report.clean, "seed": ns.seed,
+               **dataclasses.asdict(report)}
+    return ("fib_check",
+            ("operations", "lookups", "integrity_checks", "integrity_problems",
+             "mismatches", "final_entries", "wall_s"),
+            rows, summary,
+            None if report.clean else "table diverged from the reference")
 
 
 def _parse_faults(specs: list[str]) -> tuple[simulate.FaultSpec, ...]:
@@ -368,7 +356,7 @@ def _parse_faults(specs: list[str]) -> tuple[simulate.FaultSpec, ...]:
     return tuple(out)
 
 
-def _cmd_consensus_sim(ns, out: Path) -> int:
+def _cmd_consensus_sim(ns, out: Path) -> tuple:
     config = simulate.SimConfig(
         node_count=ns.nodes, rounds=ns.rounds, seed=ns.seed, band=ns.band,
         txs_per_block=ns.txs_per_block, compute_model=ns.compute_model,
@@ -389,7 +377,7 @@ def _cmd_consensus_sim(ns, out: Path) -> int:
         print(f"stalled at round {s.stalled_round}: {s.stall_reason}")
     summary = {
         "command": "consensus-sim",
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "rounds_completed": s.rounds_completed,
         "rounds_requested": s.rounds_requested,
         "total_virtual_seconds": s.total_virtual_seconds,
@@ -401,79 +389,62 @@ def _cmd_consensus_sim(ns, out: Path) -> int:
         "stalled_round": s.stalled_round,
         "stall_reason": s.stall_reason,
     }
-    paths = _write_report(out, "consensus_sim", SIM_CSV_HEADER, rows, summary)
-    _announce(*paths)
-    return 0
+    return "consensus_sim", SIM_CSV_HEADER, rows, summary, None
 
 
-def _model_row(n: int, a: float, band: float, txs_per_block: int):
-    cell = next(iter(perfmodel.sweep_grid([n], [a], [band], txs_per_block)))
-    return cell["t_tran"], cell["t_comp"], cell["t_cons"], cell["throughput"]
+def _model_row(cell: dict) -> tuple:
+    return (cell["n"], cell["a"], f"{cell['band']:g}",
+            f"{cell['t_tran']:.6f}", f"{cell['t_comp']:.6f}",
+            f"{cell['t_cons']:.6f}", f"{cell['throughput']:.2f}")
 
 
-def _cmd_model_eval(ns, out: Path) -> int:
+def _cmd_model_eval(ns, out: Path) -> tuple:
     if ns.nodes < 3:
         raise perfmodel.ModelError("need at least three nodes")
-    t_tran, t_comp, t_cons, tput = _model_row(ns.nodes, ns.speedup, ns.band,
-                                              ns.txs_per_block)
+    cell, = perfmodel.sweep_grid([ns.nodes], [ns.speedup], [ns.band],
+                                 ns.txs_per_block)
     print(f"n={ns.nodes} a={ns.speedup:g} band={ns.band:g} B/s: "
-          f"t_tran {t_tran:.5f}s + t_comp {t_comp:.5f}s = "
-          f"t_cons {t_cons:.5f}s, throughput {tput:.2f} tx/s")
-    rows = [(ns.nodes, ns.speedup, f"{ns.band:g}", f"{t_tran:.6f}",
-             f"{t_comp:.6f}", f"{t_cons:.6f}", f"{tput:.2f}")]
+          f"t_tran {cell['t_tran']:.5f}s + t_comp {cell['t_comp']:.5f}s = "
+          f"t_cons {cell['t_cons']:.5f}s, "
+          f"throughput {cell['throughput']:.2f} tx/s")
     coeffs = perfmodel.transmission_coefficient_report()
     summary = {
         "command": "model-eval",
-        "n": ns.nodes,
-        "a": ns.speedup,
-        "band": ns.band,
+        **cell,
         "txs_per_block": ns.txs_per_block,
-        "t_tran": t_tran,
-        "t_comp": t_comp,
-        "t_cons": t_cons,
-        "throughput": tput,
         "transmission_fit_consistent": coeffs.consistent,
         "transmission_linear_gap_ratio": coeffs.linear_gap_ratio,
     }
-    paths = _write_report(out, "model_eval", MODEL_CSV_HEADER, rows, summary)
-    _announce(*paths)
-    return 0
+    return "model_eval", MODEL_CSV_HEADER, [_model_row(cell)], summary, None
 
 
-def _cmd_model_sweep(ns, out: Path) -> int:
+def _cmd_model_sweep(ns, out: Path) -> tuple:
     n_values = _ints(ns.nodes)
     speedups = _floats(ns.speedups)
     bands = _floats(ns.bands)
     if any(n < 3 for n in n_values):
         raise perfmodel.ModelError("need at least three nodes")
-    rows = []
-    best = None
-    for cell in perfmodel.sweep_grid(n_values, speedups, bands,
-                                     ns.txs_per_block):
-        rows.append((cell["n"], cell["a"], f"{cell['band']:g}",
-                     f"{cell['t_tran']:.6f}", f"{cell['t_comp']:.6f}",
-                     f"{cell['t_cons']:.6f}", f"{cell['throughput']:.2f}"))
-        if best is None or cell["throughput"] > best["throughput"]:
-            best = cell
-    print(f"{len(rows)} grid cells over n={n_values[0]}..{n_values[-1]}, "
+    cells = list(perfmodel.sweep_grid(n_values, speedups, bands,
+                                      ns.txs_per_block))
+    best = max(cells, key=lambda cell: cell["throughput"])
+    print(f"{len(cells)} grid cells over n={n_values[0]}..{n_values[-1]}, "
           f"{len(speedups)} speedup(s), {len(bands)} band(s)")
     print(f"max throughput {best['throughput']:.2f} tx/s at "
           f"n={best['n']} a={best['a']:g} band={best['band']:g}")
     summary = {
         "command": "model-sweep",
-        "cells": len(rows),
+        "cells": len(cells),
         "n_values": n_values,
         "speedups": speedups,
         "bands": bands,
         "txs_per_block": ns.txs_per_block,
         "best": best,
     }
-    paths = _write_report(out, "model_sweep", MODEL_CSV_HEADER, rows, summary)
-    _announce(*paths)
-    return 0
+    return ("model_sweep", MODEL_CSV_HEADER, [_model_row(c) for c in cells],
+            summary, None)
 
 
-def _cmd_tunnel_demo(ns, out: Path) -> int:
+def _cmd_tunnel_demo(ns, out: Path) -> tuple:
     if ns.mode == "all":
         if ns.down:
             raise ParseError("--down needs a single --mode")
@@ -506,6 +477,7 @@ def _cmd_tunnel_demo(ns, out: Path) -> int:
         rows.append((rep.mode, ns.payload_bytes, rep.data_segments,
                      rep.establish_exchanges, rep.terminate_exchanges,
                      rep.interests_total, rep.matched))
+    matched = all(r.matched for r in reports)
     summary = {
         "command": "tunnel-demo",
         "payload_bytes": ns.payload_bytes,
@@ -513,22 +485,17 @@ def _cmd_tunnel_demo(ns, out: Path) -> int:
         "seed": ns.seed,
         "down_nodes": list(ns.down),
         "modes": [m.value for m in modes],
-        "all_digests_match": all(r.matched for r in reports),
+        "all_digests_match": matched,
         "timeout": timeout_msg,
     }
-    paths = _write_report(
-        out, "tunnel_demo",
-        ("mode", "payload_bytes", "data_segments", "establish_exchanges",
-         "terminate_exchanges", "interests_total", "digests_match"),
-        rows, summary)
-    _announce(*paths)
-    if not ns.down and not all(r.matched for r in reports):
-        print("FAILED: payload digest mismatch", file=sys.stderr)
-        return 1
-    return 0
+    return ("tunnel_demo",
+            ("mode", "payload_bytes", "data_segments", "establish_exchanges",
+             "terminate_exchanges", "interests_total", "digests_match"),
+            rows, summary,
+            None if ns.down or matched else "payload digest mismatch")
 
 
-def _cmd_registry_demo(ns, out: Path) -> int:
+def _cmd_registry_demo(ns, out: Path) -> tuple:
     if ns.identifiers < 4:
         raise registry.RegistryError("need at least four identifiers")
     hier = registry.Hierarchy.default(store_path=out / "registry_records.jsonl")
@@ -542,19 +509,15 @@ def _cmd_registry_demo(ns, out: Path) -> int:
         style = i % 4
         if style == 0:
             ident = Identifier.content(f"{domain.name.text}/app/item{i}")
-            req = registry.RegistrationRequest(
-                ident, owner, forwarding=ForwardingInfo(face_id=i % 64))
         elif style == 1:
             ident = Identifier.content(f"/library/shelf{i}")
-            req = registry.RegistrationRequest(
-                ident, owner, forwarding=ForwardingInfo(face_id=i % 64))
         elif style == 2:
             ident = Identifier.identity(f"user{i}")
-            req = registry.RegistrationRequest(ident, owner)
         else:
             ident = Identifier.geo(f"zone/{i}")
-            req = registry.RegistrationRequest(ident, owner)
-        hier.register(domain, req)
+        forwarding = ForwardingInfo(face_id=i % 64) if style < 2 else None
+        hier.register(domain, registry.RegistrationRequest(
+            ident, owner, forwarding=forwarding))
         kind_counts[ident.kind.value] += 1
         registered.append((domain, ident))
 
@@ -573,24 +536,18 @@ def _cmd_registry_demo(ns, out: Path) -> int:
     except registry.Duplicate:
         duplicates_rejected += 1
 
-    rows = []
-    unresolved = 0
     rng = np.random.default_rng(ns.seed)
-    for i, (home, ident) in enumerate(registered):
-        origin = domains[int(rng.integers(0, len(domains)))]
-        res = hier.resolve(origin, ident)
-        if res.outcome is not registry.ResolutionOutcome.RESOLVED:
-            unresolved += 1
-        rows.append((origin.name.text, ident.text, res.outcome.value,
-                     len(res.hops), "|".join(h.text for h in res.hops)))
-
-    nf = hier.resolve(domains[0], Identifier.content("/never/registered"))
-    rows.append((domains[0].name.text, "content:/never/registered",
-                 nf.outcome.value, len(nf.hops),
-                 "|".join(h.text for h in nf.hops)))
-    px = hier.resolve(domains[0], Identifier.ip("203.0.113.9"))
-    rows.append((domains[0].name.text, "ip:203.0.113.9", px.outcome.value,
-                 len(px.hops), "|".join(h.text for h in px.hops)))
+    probes = [(domains[int(rng.integers(0, len(domains)))], ident)
+              for _, ident in registered]
+    probes += [(domains[0], Identifier.content("/never/registered")),
+               (domains[0], Identifier.ip("203.0.113.9"))]
+    results = [hier.resolve(origin, ident) for origin, ident in probes]
+    rows = [(origin.name.text, ident.text, res.outcome.value, len(res.hops),
+             "|".join(h.text for h in res.hops))
+            for (origin, ident), res in zip(probes, results)]
+    *swept, nf, px = results
+    unresolved = sum(res.outcome is not registry.ResolutionOutcome.RESOLVED
+                     for res in swept)
 
     problems = hier.verify_consistency()
     print(f"registered {len(registered) + 1} identifiers across "
@@ -614,18 +571,14 @@ def _cmd_registry_demo(ns, out: Path) -> int:
         "consistency_problems": problems,
         "record_store": "registry_records.jsonl",
     }
-    paths = _write_report(
-        out, "registry_demo",
-        ("origin", "identifier", "outcome", "hop_count", "hops"),
-        rows, summary)
-    _announce(*paths)
-    if (problems or unresolved
-            or nf.outcome is not registry.ResolutionOutcome.NOT_FOUND
-            or px.outcome is not registry.ResolutionOutcome.PROXIED_TO_IP
-            or duplicates_rejected != 1):
-        print("FAILED: registry invariants violated", file=sys.stderr)
-        return 1
-    return 0
+    failed = (problems or unresolved
+              or nf.outcome is not registry.ResolutionOutcome.NOT_FOUND
+              or px.outcome is not registry.ResolutionOutcome.PROXIED_TO_IP
+              or duplicates_rejected != 1)
+    return ("registry_demo",
+            ("origin", "identifier", "outcome", "hop_count", "hops"),
+            rows, summary,
+            "registry invariants violated" if failed else None)
 
 
 if __name__ == "__main__":

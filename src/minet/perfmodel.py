@@ -212,13 +212,16 @@ def sweep_grid(n_values: Sequence[int], speedups: Sequence[float],
     sum, matching the whole-round fit at a=1 and the reference
     bandwidth.  The throughput column divides by the round time with
     the leader's sealing surcharge included, so t_cons * throughput is
-    deliberately less than n * txs_per_block.  An empty axis or a
-    non-positive speedup or band raises ModelError at the first step.
+    deliberately less than n * txs_per_block.  An empty axis, a
+    non-positive speedup or band, or txs_per_block below one raises
+    ModelError at the first step.
     """
     if 0 in (len(n_values), len(speedups), len(bands)):
         raise ModelError("every sweep axis needs at least one value")
     if not all(a > 0 for a in speedups) or not all(b > 0 for b in bands):
         raise ModelError("speedups and bands must be positive")
+    if txs_per_block < 1:
+        raise ModelError("txs_per_block must be positive")
     for n in n_values:
         for a in speedups:
             for band in bands:

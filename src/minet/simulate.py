@@ -40,7 +40,6 @@ with a diagnostic — it is flagged, never silently recovered.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -128,11 +127,6 @@ class SimConfig:
                 raise ConfigInvalid("crash_at_round needs a positive round")
             if f.behavior != "crash_at_round" and f.round is not None:
                 raise ConfigInvalid(f"{f.behavior} takes no round")
-
-    def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["faults"] = [dataclasses.asdict(f) for f in self.faults]
-        return out
 
 
 @dataclass(frozen=True)

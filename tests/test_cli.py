@@ -45,6 +45,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-sweep", "--bands", "0"],
                  ["model-sweep", "--speedups", "0"],
                  ["model-eval", "--band", "0"],
+                 ["model-eval", "--txs-per-block", "-10"],
+                 ["model-sweep", "--txs-per-block", "0"],
+                 ["fib-bench", "--queries", "0"],
+                 ["fib-bench", "--queries", "0", "--route", "dict"],
                  ["tunnel-demo", "--segment-size", "0"],
                  ["tunnel-demo", "--payload-bytes", "-1"],
                  ["tunnel-demo", "--mode", "ip-ccn", "--down", "mir2"],

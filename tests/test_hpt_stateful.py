@@ -1,10 +1,11 @@
 """Stateful differential tests of the forwarding table.
 
-A hypothesis state machine inserts, re-inserts, deletes, binds and
-translates names over a tiny alphabet, so fillers gain and lose real
-ancestors often, and checks after every step that the table agrees with
-a plain dict of routes, with its own oracle route and with its dump, and
-that every entry's derived state follows from the routes.  A repack rule
+A hypothesis state machine starts from a filler two levels below its
+real ancestor, then inserts, re-inserts, deletes, binds and translates
+names over a tiny alphabet, so fillers gain and lose real ancestors
+often, and checks after every step that the table agrees with a plain
+dict of routes, with its own oracle route and with its dump, and that
+every entry's derived state follows from the routes.  A repack rule
 runs both batch kernels against the dict routes and checks the states
 the packer derives.  The second copy narrows the packed fingerprints
 under the first salts, so every repack meets key collisions and has to
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -86,6 +88,13 @@ class TableMachine(RuleBasedStateMachine):
         return ContentName.parse(text)
 
     # -- rules ------------------------------------------------------------
+
+    @initialize()
+    def deep_filler(self):
+        # /a/b/c is a semi-virtual filler two levels below its real
+        # ancestor, a shape the random rules alone seldom repack
+        self.insert(ContentName(("a",)), 1)
+        self.insert(ContentName(("a", "b", "c", "d")), 2)
 
     @rule(name=names, face=st.integers(0, 9))
     def insert(self, name, face):

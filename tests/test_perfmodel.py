@@ -157,6 +157,8 @@ def test_param_validation():
         ModelParams(node_count=3, tx_bytes=0)
     with pytest.raises(ModelError):
         scaled_computation_time(3, 0.0)
+    with pytest.raises(ModelError):
+        next(sweep_grid([3], [1.0], [125e6], txs_per_block=0))
 
 
 def test_role_defaults_mirror_prototype():
