@@ -417,30 +417,26 @@ def genesis_group(first_leader: int) -> BlockGroup:
 
 
 class Chain:
-    """Validated, in-memory sequence of block groups plus their digests."""
+    """A validated chain of block groups, kept as its tip: the height, the
+    digest and the drawn next leader of the last group appended, which is
+    all the next append reads.  The tip digest commits to every group
+    before it, so an appended group is validated and then dropped; a
+    caller that needs something from a group keeps it itself."""
+
+    __slots__ = ("height", "tip_digest", "next_leader")
 
     def __init__(self, first_leader: int = 0):
-        g = genesis_group(first_leader)
-        self.groups: list[BlockGroup] = [g]
-        self.digests: list[bytes] = [group_digest(g)]
-
-    @property
-    def height(self) -> int:
-        return self.groups[-1].header.height
-
-    @property
-    def tip_digest(self) -> bytes:
-        return self.digests[-1]
-
-    @property
-    def next_leader(self) -> int:
-        return self.groups[-1].header.next_leader
+        self.height = 0
+        self.tip_digest = group_digest(genesis_group(first_leader))
+        self.next_leader = first_leader
 
     def append(self, group: BlockGroup, config: ConsensusConfig) -> None:
-        if group.header.height != self.height + 1:
-            raise ChainError(f"height {group.header.height}, expected {self.height + 1}")
+        header = group.header
+        if header.height != self.height + 1:
+            raise ChainError(f"height {header.height}, expected {self.height + 1}")
         problems = validate_block_group(group, config, self.tip_digest)
         if problems:
             raise ChainError("; ".join(problems))
-        self.groups.append(group)
-        self.digests.append(group_digest(group))
+        self.height = header.height
+        self.tip_digest = group_digest(group)
+        self.next_leader = header.next_leader

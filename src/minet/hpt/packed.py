@@ -4,7 +4,7 @@ Names are fingerprinted by rolling a 64-bit FNV-1a over per-component
 vocabulary ids, one numpy step per name column; the open-addressing
 table maps fingerprints to the Hpt's own node ids, and the per-node
 arrays are indexed by them; a free id keeps its slot in those arrays
-(depth 0, face -1) but never enters the table.  The Hpt stores no filler
+(face -1) but never enters the table.  The Hpt stores no filler
 states, so the build derives them in the same depth order as the
 fingerprints: a node is real when it has a face, semi-virtual when a
 real node lies above it, and virtual otherwise.  The build rejects any
@@ -44,7 +44,6 @@ class PackedFib:
     state: np.ndarray         # uint8 per node (EntryState values)
     parent: np.ndarray        # int32 per node, -1 at depth 1
     face: np.ndarray          # int32 per node, -1 when no forwarding
-    depth: np.ndarray         # int32 per node
     vocab: dict[str, int] = field(repr=False)
     salt: int = 0
 
@@ -106,7 +105,7 @@ def pack_fib(hpt: Hpt) -> PackedFib:
         if not (ordered[1:] == ordered[:-1]).any():
             table_fp, table_node = _table(fp, live, size)
             return PackedFib(table_fp, table_node, size - 1, state, parent,
-                             face, depth, vocab, salt)
+                             face, vocab, salt)
     raise FingerprintCollision("no collision-free salt found")
 
 

@@ -24,6 +24,7 @@ form is what the scaling/throughput curves compose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -212,14 +213,14 @@ def sweep_grid(n_values: Sequence[int], speedups: Sequence[float],
     sum, matching the whole-round fit at a=1 and the reference
     bandwidth.  The throughput column divides by the round time with
     the leader's sealing surcharge included, so t_cons * throughput is
-    deliberately less than n * txs_per_block.  An empty axis, a
-    non-positive speedup or band, or txs_per_block below one raises
-    ModelError at the first step.
+    deliberately less than n * txs_per_block.  An empty axis, a speedup
+    or band that is not finite and positive, or txs_per_block below one
+    raises ModelError at the first step.
     """
     if 0 in (len(n_values), len(speedups), len(bands)):
         raise ModelError("every sweep axis needs at least one value")
-    if not all(a > 0 for a in speedups) or not all(b > 0 for b in bands):
-        raise ModelError("speedups and bands must be positive")
+    if not all(0 < x < math.inf for x in (*speedups, *bands)):
+        raise ModelError("speedups and bands must be finite and positive")
     if txs_per_block < 1:
         raise ModelError("txs_per_block must be positive")
     for n in n_values:

@@ -109,6 +109,9 @@ class Domain:
         self.supervisors = SUPERVISORS
         self.down_supervisors: set[int] = set()
         self.chain = Chain(first_leader=SUPERVISORS[0])
+        # the transaction ids committed at each height, genesis first: all
+        # that `verify_consistency` reads of the groups the chain drops
+        self.committed_ids: list[tuple[int, ...]] = [()]
         self.offchain: dict[Identifier, RegistrationRecord] = {}
         self.fib = Hpt()
         self.cache: dict[Identifier, tuple[RegistrationRecord,
@@ -233,6 +236,8 @@ class Hierarchy:
             domain.chain.append(group, cfg)
         except ChainError as exc:
             raise ConsensusFailed(str(exc)) from exc
+        domain.committed_ids.append(tuple(t.id for b in group.body
+                                          for t in b.txs))
         return height
 
     def _store(self, record: RegistrationRecord) -> None:
@@ -340,7 +345,9 @@ class Hierarchy:
 
     def verify_consistency(self) -> list[str]:
         """Off-chain records and on-chain transactions must correspond
-        one to one; the duplicate index must mirror the stores."""
+        one to one, read through each domain's `committed_ids`, the
+        transaction ids it kept from each group its chain appended; the
+        duplicate index must mirror the stores."""
         problems = []
         seen: dict[Identifier, ContentName] = {}
         for domain in self.domains():
@@ -351,9 +358,7 @@ class Hierarchy:
                 if record.height > domain.chain.height:
                     problems.append(f"{ident.text} height beyond chain tip")
                     continue
-                group = domain.chain.groups[record.height]
-                ids = {t.id for b in group.body for t in b.txs}
-                if record.tx_id not in ids:
+                if record.tx_id not in domain.committed_ids[record.height]:
                     problems.append(
                         f"{ident.text} transaction missing at height "
                         f"{record.height} in {domain.name.text}")

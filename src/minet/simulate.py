@@ -9,7 +9,9 @@ the size parameters; the structures that actually flow carry real
 digests and signatures.  A run keeps one chain for all its nodes: every
 node starts from the same genesis and appends the same sealed group, so
 no two nodes' copies can differ, and one validation per round stands
-for every node's.
+for every node's.  The chain keeps only its tip, and a round's blocks
+and group are dropped once it ends, so a run's memory does not grow
+with its round count.
 
 A round walks four steps, each started only once the previous one is
 complete:
@@ -40,6 +42,7 @@ with a diagnostic — it is flagged, never silently recovered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,6 +60,7 @@ from .apov import (
     assemble_group,
     cast_validation_votes,
     make_block,
+    node_pubkey,
     sign_vote,
     tally_and_seal,
 )
@@ -106,8 +110,8 @@ class SimConfig:
             raise ConfigInvalid("need at least two nodes")
         if self.rounds < 1:
             raise ConfigInvalid("rounds must be positive")
-        if self.band < 1:
-            raise ConfigInvalid("band must be at least one byte/second")
+        if not 1 <= self.band < math.inf:
+            raise ConfigInvalid("band must be finite and at least one byte/second")
         for name in ("msg_bytes", "block_header_bytes", "tx_bytes",
                      "txs_per_block", "vote_header_bytes",
                      "vote_per_block_bytes", "result_header_bytes",
@@ -278,13 +282,12 @@ class _Round:
         base = (self.height * self.cfg.node_count + bookkeeper) * k
         txs = TxColumn(np.arange(base, base + k, dtype=np.int64),
                        nominal_size=self.cfg.tx_bytes)
-        block = make_block(bookkeeper, txs, self.prev_digest,
-                           timestamp=self.t0, config=self.rcfg)
         if bookkeeper in self.sim.invalid_nodes:
-            block = Block(block.prev_group_hash,
-                          b"\xff" * 32, block.bookkeeper_key,
-                          block.timestamp, block.txs)
-        return block
+            # a wrong merkle root, which every validator's recompute refuses
+            return Block(self.prev_digest, b"\xff" * 32,
+                         node_pubkey(bookkeeper), self.t0, txs)
+        return make_block(bookkeeper, txs, self.prev_digest,
+                          timestamp=self.t0, config=self.rcfg)
 
     def _vote(self, voter: int, blocks: list[Block]) -> VoteMessage:
         msg = cast_validation_votes(voter, blocks, self.prev_digest, self.rcfg)

@@ -362,12 +362,14 @@ def test_chain_rejects_bad_linkage_and_height():
 
 def test_two_identical_chains_stay_bit_identical():
     a, b = Chain(), Chain()
+    assert a.tip_digest == b.tip_digest
     for _ in range(5):
         ha, blocks_a, _ = _round(a)
         hb, blocks_b, _ = _round(b)
         a.append(assemble_group(ha, blocks_a), CFG)
         b.append(assemble_group(hb, blocks_b), CFG)
-    assert a.digests == b.digests
+        assert a.tip_digest == b.tip_digest
+        assert (a.height, a.next_leader) == (b.height, b.next_leader)
 
 
 def test_election_ranking_and_errors():

@@ -46,6 +46,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-sweep", "--speedups", "0"],
                  ["model-eval", "--band", "0"],
                  ["model-eval", "--txs-per-block", "-10"],
+                 ["model-eval", "--speedup", "inf", "--band", "inf"],
+                 ["model-sweep", "--speedups", "inf", "--bands", "inf"],
+                 ["consensus-sim", "--band", "nan"],
+                 ["consensus-sim", "--band", "inf"],
                  ["model-sweep", "--txs-per-block", "0"],
                  ["fib-bench", "--queries", "0"],
                  ["fib-bench", "--queries", "0", "--route", "dict"],

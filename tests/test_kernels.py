@@ -162,8 +162,9 @@ def test_pack_fib_matches_per_node_reference():
     assert fib.free     # freed ids stay in the arrays but not in the table
     packed = pack_fib(fib)
     live = sorted(fib.index.values())
+    depth = {nid: text.count("/") for text, nid in fib.index.items()}
     # Ids do not follow depth, so the packer must order levels itself.
-    assert (np.diff(packed.depth[live]) < 0).any()
+    assert (np.diff([depth[nid] for nid in live]) < 0).any()
     assert sorted(packed.vocab.values()) == list(
         range(1, len(packed.vocab) + 1))
     assert set(packed.vocab) == {
@@ -176,7 +177,6 @@ def test_pack_fib_matches_per_node_reference():
         up = text.rsplit("/", 1)[0]
         assert int(packed.parent[nid]) == (fib.index[up] if up else -1)
         assert int(packed.state[nid]) == fib.state(nid)
-        assert int(packed.depth[nid]) == len(comps)
         forwarding = fib.forwarding[nid]
         assert int(packed.face[nid]) == (
             -1 if forwarding is None else forwarding.face_id)

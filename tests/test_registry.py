@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import pytest
 
@@ -47,8 +49,7 @@ def test_register_commits_record_chain_and_fib():
     assert record.height == 1
     assert record.domain == cn.name
     assert cn.chain.height == 1
-    group = cn.chain.groups[1]
-    assert {t.id for b in group.body for t in b.txs} == {record.tx_id}
+    assert cn.committed_ids == [(), (record.tx_id,)]
     hit = cn.fib.lookup_lpm(ContentName.parse("/video/v1"))
     assert hit.hit and hit.forwarding.face_id == 7
 
@@ -212,6 +213,32 @@ def test_verify_consistency():
     cn.offchain[ident] = dataclasses.replace(cn.offchain[ident], tx_id=12345)
     problems = hier.verify_consistency()
     assert any("transaction missing" in p for p in problems)
+
+
+@pytest.mark.parametrize("kind", ["identity", "content"])
+def test_registration_keeps_bounded_memory(kind):
+    # A registration keeps its record, its index and fib entries and its
+    # committed transaction id; the committed block group is dropped.
+    count = 500
+    if kind == "identity":
+        requests = [RegistrationRequest(Identifier.identity(f"user{i}"), ALICE)
+                    for i in range(count + 1)]
+    else:
+        requests = [content_request(f"/video/v{i}") for i in range(count + 1)]
+    hier = Hierarchy.default()
+    cn = hier.domain("/top/cn")
+    hier.register(cn, requests.pop())     # warm-up: lazy state and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for request in requests:
+            hier.register(cn, request)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cn.chain.height == count + 1
+    assert kept / count <= 1024, kept / count
 
 
 def test_request_and_resolution_json_schema():
