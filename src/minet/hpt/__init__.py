@@ -7,7 +7,6 @@ from minet.hpt.fib import (
     FibError,
     UnknownContent,
     DuplicateBinding,
-    NotBound,
     LoadError,
 )
 from minet.hpt.packed import PackedFib, pack_fib, pack_queries
@@ -19,7 +18,6 @@ __all__ = [
     "FibError",
     "UnknownContent",
     "DuplicateBinding",
-    "NotBound",
     "LoadError",
     "PackedFib",
     "pack_fib",

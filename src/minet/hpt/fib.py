@@ -41,10 +41,6 @@ class DuplicateBinding(FibError):
     """Alternate identifier already bound."""
 
 
-class NotBound(FibError):
-    """Alternate identifier has no binding."""
-
-
 class LoadError(FibError):
     """Dump file disagrees with the reconstructed table."""
 
@@ -54,6 +50,10 @@ class EntryState(IntEnum):
     VIRTUAL = 1
     SEMI_VIRTUAL = 2
 
+
+# EnumType defines __getattr__, so a member read off its class takes a
+# Python-level hook; `translate` reads this name instead
+_CONTENT = IdKind.CONTENT
 
 _STATE_TOKEN = ("real", "virtual", "semi-virtual")   # indexed by state
 _TOKEN_STATE = {token: EntryState(i) for i, token in enumerate(_STATE_TOKEN)}
@@ -234,13 +234,14 @@ class Hpt:
         self.bindings.setdefault(nid, []).append(alt)
         self.alt_index[alt] = content
 
-    def translate(self, alt: Identifier) -> ContentName:
-        if alt.kind is IdKind.CONTENT:
+    def translate(self, alt: Identifier) -> Optional[ContentName]:
+        """The content name an identifier resolves to: a content
+        identifier's own name, the entry a bound identifier is attached
+        to, or None for an identifier with no binding (never bound, or
+        dropped with its entry by `delete`)."""
+        if alt.kind is _CONTENT:
             return alt.value
-        try:
-            return self.alt_index[alt]
-        except KeyError:
-            raise NotBound(alt.text) from None
+        return self.alt_index.get(alt)
 
     # -- integrity ---------------------------------------------------------
 

@@ -27,11 +27,21 @@ class ContentName:
     components: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.components, tuple):
-            object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+        comps = self.components
+        if not isinstance(comps, tuple):
+            comps = tuple(comps)
+            object.__setattr__(self, "components", comps)
+        if not comps:
             raise ParseError("content name needs at least one component")
-        for comp in self.components:
+        # two C-level checks over the whole tuple; join raises TypeError
+        # for a component that is not a str
+        try:
+            ok = "" not in comps and "/" not in "".join(comps)
+        except TypeError:
+            ok = False
+        if ok:
+            return
+        for comp in comps:      # name the first bad component
             if not isinstance(comp, str) or not comp:
                 raise ParseError("empty name component")
             if "/" in comp:

@@ -45,7 +45,7 @@ from .apov import (
     make_block,
     tally_and_seal,
 )
-from .hpt import Hpt, NotBound, UnknownContent
+from .hpt import Hpt
 from .names import ContentName, ForwardingInfo, IdKind, Identifier
 
 CACHE_LIMIT = 256
@@ -99,6 +99,12 @@ class ResolutionResult:
     record: Optional[RegistrationRecord] = None
     forwarding: Optional[ForwardingInfo] = None
     message: str = ""
+
+
+# EnumType defines __getattr__, so a member read off its class takes a
+# Python-level hook; the resolve walk reads these names instead
+_CONTENT, _IP = IdKind.CONTENT, IdKind.IP
+_RESOLVED = ResolutionOutcome.RESOLVED
 
 
 class Domain:
@@ -256,7 +262,7 @@ class Hierarchy:
         found = self._check_domain(origin, ident)
         if found is not None:
             return _resolved(found, hops)
-        if ident.kind is IdKind.IP:
+        if ident.kind is _IP:
             return ResolutionResult(
                 ResolutionOutcome.PROXIED_TO_IP, tuple(hops),
                 message=f"{ident.text} unknown locally; "
@@ -290,7 +296,7 @@ class Hierarchy:
                        visited: set[ContentName]) -> Iterable[Domain]:
         """Directed descent along a carried domain path first, then
         breadth-first over whatever remains (exhaustive, no revisits)."""
-        if ident.kind is IdKind.CONTENT:
+        if ident.kind is _CONTENT:
             node = self.root
             while True:
                 # descend into the child whose name prefixes the identifier
@@ -314,19 +320,12 @@ class Hierarchy:
                                           Optional[ForwardingInfo]]]:
         record = domain.offchain.get(ident)
         forwarding = None
-        if ident.kind is IdKind.CONTENT:
-            hit = domain.fib.lookup_lpm(ident.value)
+        # a content identifier translates to its own name
+        bound = domain.fib.translate(ident)
+        if bound is not None:
+            hit = domain.fib.lookup_lpm(bound)
             if hit.hit:
                 forwarding = hit.forwarding
-        else:
-            try:
-                bound = domain.fib.translate(ident)
-            except (NotBound, UnknownContent):
-                bound = None
-            if bound is not None:
-                hit = domain.fib.lookup_lpm(bound)
-                if hit.hit:
-                    forwarding = hit.forwarding
         if record is None and forwarding is None:
             return None
         return record, forwarding
@@ -371,7 +370,7 @@ def _resolved(found: tuple[Optional[RegistrationRecord],
                            Optional[ForwardingInfo]],
               hops: list[ContentName], message: str = "") -> ResolutionResult:
     record, forwarding = found
-    return ResolutionResult(ResolutionOutcome.RESOLVED, tuple(hops),
+    return ResolutionResult(_RESOLVED, tuple(hops),
                             record=record, forwarding=forwarding,
                             message=message)
 

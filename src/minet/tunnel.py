@@ -16,15 +16,23 @@ as payload-bearing Interests on CCN segments, one acknowledgment flight
 per segment in the reverse direction (stop-and-wait), since the
 underlying fabric offers no reliability of its own.
 
-Each mode's chain is built once, at import; the Interest names a flight
-carries each way, up to the first node a connection is told is down, are
-planned once per mode and down set.  Every connection runs between
-10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID.  A connection keeps
-its flights as tuples and builds its Interest log only when it is read; a
+Each mode's chain is built once, at import.  Every connection runs
+between 10.0.0.1:40001 and 10.0.0.2:80, so all share CONN_ID.  The
+Interest names a flight carries each way, up to the first node a
+connection is told is down, are planned once per mode and down set, and
+so is each handshake's outcome: the flights it sends, the Interests that
+get through, its seq/ack steps and the down node it times out at.  A
+connection moves through phases (establish, one data push per `send`,
+terminate), and each phase costs O(1) Python however many segments it
+carries: a handshake applies its planned outcome, a data push a
+closed-form one, and each records one tuple.  The Interest log is
+expanded from those tuples, flight by flight, only when it is read.  A
 down node surfaces as a Timeout and the connection folds back to Closed.
-A handshake only completes with no node down, so each mode's establish and
-terminate records are built once, at import, and shared.  Sequence and
-acknowledgment numbers wrap modulo 2**32, as in TCP.
+Every node lies on the forward or the reverse path and a handshake takes
+both, so only a connection with no node down gets past establish; each
+mode's establish and terminate records are built once, at import, and
+shared.  Sequence and acknowledgment numbers wrap modulo 2**32, as in
+TCP.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .names import ContentName
 
@@ -203,6 +211,11 @@ class TunnelState(Enum):
     ESTABLISHED = "Established"
 
 
+# EnumType defines __getattr__, so reading a member off its class takes a
+# Python-level attribute hook; the request path reads these names instead
+_CLOSED, _ESTABLISHED = TunnelState.CLOSED, TunnelState.ESTABLISHED
+
+
 @dataclass(frozen=True)
 class ChainNode:
     label: str
@@ -279,21 +292,56 @@ def _plans(mode: TunnelMode, down: frozenset[str]
     return tuple(plans)
 
 
-# (flags, forward) of each flight of the two handshakes
-_ESTABLISH = ((FLAG_SYN, True), (FLAG_SYN | FLAG_ACK, False), (FLAG_ACK, True))
-_TERMINATE = ((FLAG_FIN, True), (FLAG_ACK, False), (FLAG_FIN, False),
-              (FLAG_ACK, True))
+# (flags, forward, seq_fwd step, seq_rev step) of each flight of the two
+# handshakes; a flight's steps apply once it has gone through
+_ESTABLISH = ((FLAG_SYN, True, 1, 0), (FLAG_SYN | FLAG_ACK, False, 0, 1),
+              (FLAG_ACK, True, 0, 0))
+_TERMINATE = ((FLAG_FIN, True, 1, 0), (FLAG_ACK, False, 0, 0),
+              (FLAG_FIN, False, 0, 1), (FLAG_ACK, True, 0, 0))
 
 
-def _handshake(mode: TunnelMode, flights) -> tuple[ExchangeRecord, ...]:
+def _outcome(plans, flights) -> tuple:
+    """What a handshake does on planned routes: the flights it sends, the
+    Interests that get through, its seq_fwd and seq_rev steps, and the
+    Timeout text of the flight that meets a down node (None if none)."""
+    interests = step_fwd = step_rev = 0
+    for i, (_, forward, fwd, rev) in enumerate(flights):
+        names, down = plans[forward]
+        if down is not None:
+            return (flights[:i + 1], interests, step_fwd, step_rev,
+                    f"node {down} is unreachable")
+        interests += len(names)
+        step_fwd += fwd
+        step_rev += rev
+    return flights, interests, step_fwd, step_rev, None
+
+
+class _Route(NamedTuple):
+    plans: tuple               # as `_plans` returns them
+    establish: tuple           # as `_outcome` returns them
+    terminate: tuple
+    per_segment: int           # Interests of one data flight and its ACK
+
+
+@functools.cache     # keyed as `_plans`
+def _route(mode: TunnelMode, down: frozenset[str]) -> _Route:
+    plans = _plans(mode, down)
+    return _Route(plans, _outcome(plans, _ESTABLISH),
+                  _outcome(plans, _TERMINATE),
+                  len(plans[True][0]) + len(plans[False][0]))
+
+
+def _records(mode: TunnelMode, flights) -> tuple[ExchangeRecord, ...]:
     """The records of a handshake, which completes only with no node down."""
     plans = _plans(mode, frozenset())
     return tuple(ExchangeRecord(flag_names(flags), "fwd" if fwd else "rev",
-                                len(plans[fwd][0])) for flags, fwd in flights)
+                                len(plans[fwd][0]))
+                 for flags, fwd, _, _ in flights)
 
 
-_ESTABLISH_RECORDS = {m: _handshake(m, _ESTABLISH) for m in TunnelMode}
-_TERMINATE_RECORDS = {m: _handshake(m, _TERMINATE) for m in TunnelMode}
+_ESTABLISH_RECORDS = {m: _records(m, _ESTABLISH) for m in TunnelMode}
+_TERMINATE_RECORDS = {m: _records(m, _TERMINATE) for m in TunnelMode}
+_LABELS = {m: frozenset(n.label for n in CHAINS[m]) for m in TunnelMode}
 
 
 class TunnelConnection:
@@ -304,7 +352,7 @@ class TunnelConnection:
         self.mode = mode
         self.nodes = CHAINS[mode]
         self.down = frozenset(down)
-        unknown = self.down.difference(n.label for n in self.nodes)
+        unknown = self.down - _LABELS[mode]
         if unknown:
             raise TunnelError(f"no node {', '.join(sorted(unknown))} in "
                               f"the {mode.value} chain")
@@ -312,77 +360,91 @@ class TunnelConnection:
             raise TunnelError(f"segment size {segment_size} is not positive")
         self.conn_id = CONN_ID
         self.segment_size = segment_size
-        self.state = TunnelState.CLOSED
+        self.state = _CLOSED
         self.interests_sent = 0
         self.bytes_delivered = 0
         self.seq_fwd = 0
         self.seq_rev = 0
-        # (flags, seq, ack, forward, payload, Interest names) per flight
-        self._flights: list[tuple] = []
+        # one record per phase, (flights, seq_fwd, seq_rev, None) for a
+        # handshake and (segment size, seq_fwd, seq_rev, payload) for a
+        # data push, with the sequence numbers the phase started from
+        self._phases: list[tuple] = []
         self._received = hashlib.sha256()     # of the bytes delivered to B
-        self._plans = _plans(mode, self.down)
+        self._route = _route(mode, self.down)
 
     @property
     def interest_log(self) -> list[InterestPacket]:
-        """Every Interest sent so far, in order, built from the flights."""
+        """Every Interest sent so far, in order, expanded from the phases."""
         log = []
-        for flags, seq, ack, forward, payload, names in self._flights:
+        plans = self._route.plans
+        for flags, seq, ack, forward, payload in self._replay():
             header = SignalingHeader(flags, seq, ack, *_ENDS[forward])
-            log.extend(InterestPacket(name, header, payload) for name in names)
+            log.extend(InterestPacket(name, header, payload)
+                       for name in plans[forward][0])
         return log
 
-    # -- flights -----------------------------------------------------------
+    def _replay(self):
+        """(flags, seq, ack, forward, payload) of each flight sent so far."""
+        for what, seq_fwd, seq_rev, payload in self._phases:
+            if payload is not None:     # a data push, `what`-byte segments
+                for off in range(0, len(payload), what):
+                    chunk = payload[off:off + what]
+                    yield 0, seq_fwd, seq_rev, True, chunk
+                    seq_fwd = (seq_fwd + len(chunk)) % 2**32
+                    yield FLAG_ACK, seq_rev, seq_fwd, False, None
+                continue
+            for flags, forward, fwd, rev in what:     # a handshake's flights
+                if forward:
+                    yield flags, seq_fwd, seq_rev, True, None
+                else:
+                    yield flags, seq_rev, seq_fwd, False, None
+                seq_fwd = (seq_fwd + fwd) % 2**32
+                seq_rev = (seq_rev + rev) % 2**32
 
-    def _flight(self, flags: int, forward: bool,
-                payload: Optional[bytes] = None) -> None:
-        """Move one flight end to end, or up to a down node on its path."""
-        seq = self.seq_fwd if forward else self.seq_rev
-        ack = self.seq_rev if forward else self.seq_fwd
-        names, down = self._plans[forward]
-        self._flights.append((flags, seq, ack, forward, payload, names))
-        if down is not None:
-            self.state = TunnelState.CLOSED
-            raise Timeout(f"node {down} is unreachable")
-        self.interests_sent += len(names)
-        if payload is not None:
-            self._received.update(payload)
-            self.bytes_delivered += len(payload)
+    def _handshake(self, outcome: tuple) -> None:
+        """Apply a handshake's planned outcome in one step."""
+        flights, interests, fwd, rev, timeout = outcome
+        self._phases.append((flights, self.seq_fwd, self.seq_rev, None))
+        self.interests_sent += interests
+        self.seq_fwd = (self.seq_fwd + fwd) % 2**32
+        self.seq_rev = (self.seq_rev + rev) % 2**32
+        if timeout is not None:
+            self.state = _CLOSED
+            raise Timeout(timeout)
 
     # -- lifecycle ------------------------------------------------------------
 
     def establish(self) -> list[ExchangeRecord]:
-        if self.state is not TunnelState.CLOSED:
+        if self.state is not _CLOSED:
             raise InvalidState(f"establish from {self.state.value}")
-        self._flight(FLAG_SYN, forward=True)
-        self.seq_fwd = (self.seq_fwd + 1) % 2**32
-        self._flight(FLAG_SYN | FLAG_ACK, forward=False)
-        self.seq_rev = (self.seq_rev + 1) % 2**32
-        self._flight(FLAG_ACK, forward=True)
-        self.state = TunnelState.ESTABLISHED
+        self._handshake(self._route.establish)
+        self.state = _ESTABLISHED
         return list(_ESTABLISH_RECORDS[self.mode])
 
     def send(self, payload: bytes) -> int:
-        """Stop-and-wait payload push; returns data segments used."""
-        if self.state is not TunnelState.ESTABLISHED:
+        """Stop-and-wait payload push; returns data segments used.  Every
+        node lies on one of the two paths a handshake takes, so an
+        established connection has no node down and every segment and
+        its ACK go through."""
+        if self.state is not _ESTABLISHED:
             raise InvalidState(f"send from {self.state.value}")
-        offsets = range(0, len(payload), self.segment_size)
-        for off in offsets:
-            chunk = bytes(payload[off:off + self.segment_size])
-            self._flight(0, forward=True, payload=chunk)
-            self.seq_fwd = (self.seq_fwd + len(chunk)) % 2**32
-            self._flight(FLAG_ACK, forward=False)
-        return len(offsets)
+        if not isinstance(payload, bytes):
+            payload = memoryview(payload).tobytes()   # the log keeps it
+        segments = -(-len(payload) // self.segment_size)
+        if segments:
+            self._phases.append((self.segment_size, self.seq_fwd,
+                                 self.seq_rev, payload))
+            self.interests_sent += segments * self._route.per_segment
+            self._received.update(payload)
+            self.bytes_delivered += len(payload)
+            self.seq_fwd = (self.seq_fwd + len(payload)) % 2**32
+        return segments
 
     def terminate(self) -> list[ExchangeRecord]:
-        if self.state is not TunnelState.ESTABLISHED:
+        if self.state is not _ESTABLISHED:
             raise InvalidState(f"terminate from {self.state.value}")
-        self._flight(FLAG_FIN, forward=True)
-        self.seq_fwd = (self.seq_fwd + 1) % 2**32
-        self._flight(FLAG_ACK, forward=False)
-        self._flight(FLAG_FIN, forward=False)
-        self.seq_rev = (self.seq_rev + 1) % 2**32
-        self._flight(FLAG_ACK, forward=True)
-        self.state = TunnelState.CLOSED
+        self._handshake(self._route.terminate)
+        self.state = _CLOSED
         return list(_TERMINATE_RECORDS[self.mode])
 
     def receiver_digest(self) -> str:

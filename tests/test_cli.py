@@ -71,6 +71,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_subnormal_band_is_a_usage_error(tmp_path, capsys):
+    # a positive band below one byte/second underflows in MB/s
+    for argv in (["model-eval", "--band", "1e-320"],
+                 ["model-sweep", "--bands", "125e6,1e-320"],
+                 ["model-eval", "--band", "0.5"]):
+        assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == ("error: bands must be finite and at least one "
+                       "byte/second\n"), argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert "fib-bench" in capsys.readouterr().out

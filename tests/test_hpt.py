@@ -10,7 +10,6 @@ from minet.hpt import (
     EntryState,
     Hpt,
     LoadError,
-    NotBound,
     UnknownContent,
     kernels,
     pack_fib,
@@ -277,8 +276,7 @@ def test_bind_errors():
         fib.bind_identifier(N("/nope"), Identifier.geo("x"))
     with pytest.raises(UnknownContent):
         fib.bind_identifier(N("/cdn"), Identifier.geo("y"))  # filler, not real
-    with pytest.raises(NotBound):
-        fib.translate(Identifier.ip("9.9.9.9"))
+    assert fib.translate(Identifier.ip("9.9.9.9")) is None
     with pytest.raises(ValueError):
         fib.bind_identifier(N("/cdn/movie"), Identifier.content("/cdn/movie"))
 
@@ -289,8 +287,25 @@ def test_delete_drops_bindings():
     geo = Identifier.geo("cn")
     fib.bind_identifier(N("/cdn/movie"), geo)
     fib.delete(N("/cdn/movie"))
-    with pytest.raises(NotBound):
-        fib.translate(geo)
+    assert fib.translate(geo) is None
+    assert fib.verify_integrity() == []
+
+
+def test_translate_returns_none_without_a_binding():
+    fib = Hpt()
+    fib.insert(N("/cdn/movie"), F(4))
+    unbound = (Identifier.identity("bob"), Identifier.geo("cn.sz"),
+               Identifier.ip("192.0.2.1"))
+    assert [fib.translate(alt) for alt in unbound] == [None] * 3
+    geo = Identifier.geo("cn.gd")
+    fib.bind_identifier(N("/cdn/movie"), geo)
+    assert fib.translate(geo) == N("/cdn/movie")
+    fib.delete(N("/cdn/movie"))
+    assert fib.translate(geo) is None
+    # the binding went with the entry, so the id binds afresh
+    fib.insert(N("/cdn/movie"), F(5))
+    fib.bind_identifier(N("/cdn/movie"), geo)
+    assert fib.translate(geo) == N("/cdn/movie")
     assert fib.verify_integrity() == []
 
 

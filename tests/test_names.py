@@ -39,6 +39,25 @@ def test_content_name_rejects(bad):
         ContentName.parse(bad)
 
 
+@pytest.mark.parametrize("comps, message", [
+    ((), "content name needs at least one component"),
+    (("",), "empty name component"),
+    (("a", ""), "empty name component"),
+    ((5,), "empty name component"),
+    (("a", b"b"), "empty name component"),
+    (("a/b",), "component contains separator: 'a/b'"),
+    (("ok", "x/y", ""), "component contains separator: 'x/y'"),
+    (("ok", "", "x/y"), "empty name component"),
+    (("ok", 7, "x/y"), "empty name component"),
+    (("ok", "x/y", 7), "component contains separator: 'x/y'"),
+    (["ok", "x/y"], "component contains separator: 'x/y'"),
+])
+def test_content_name_errors_name_the_first_bad_component(comps, message):
+    with pytest.raises(ParseError) as info:
+        ContentName(comps)
+    assert str(info.value) == message
+
+
 def test_identifier_parse_variants():
     cid = Identifier.parse("content:/a/b")
     assert cid.kind is IdKind.CONTENT and cid.value == ContentName.parse("/a/b")

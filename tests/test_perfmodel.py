@@ -1,5 +1,7 @@
 """Analytic model: structural vs fitted families, identities, scaling."""
 
+import math
+
 import pytest
 
 from minet.perfmodel import (
@@ -159,6 +161,10 @@ def test_param_validation():
         scaled_computation_time(3, 0.0)
     with pytest.raises(ModelError):
         next(sweep_grid([3], [1.0], [125e6], txs_per_block=0))
+    for band in (1e-320, 0.5, math.inf, math.nan):
+        with pytest.raises(ModelError, match="at least one byte/second"):
+            next(sweep_grid([3], [1.0], [band]))
+    assert next(sweep_grid([3], [1.0], [1.0]))["t_tran"] > 0
 
 
 def test_role_defaults_mirror_prototype():

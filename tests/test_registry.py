@@ -157,6 +157,36 @@ def test_not_found_exhausts_tree_with_nonempty_hops():
             assert "not found" in res.message
 
 
+def test_unbound_identity_and_geo_walk_the_whole_tree():
+    # every domain without a binding for the id is a plain miss, so the
+    # walk and its message are those of an unknown content name
+    hier = Hierarchy.default()
+    hier.register("/top/cn", content_request("/video/v1"))
+    hier.register("/top/cn", RegistrationRequest(
+        Identifier.geo("cn.gd"), ALICE,
+        binds_to=ContentName.parse("/video/v1")))
+    for origin, ident, hops in (
+            ("/top/us/ca", Identifier.geo("cn.sz"),
+             ["/top/us/ca", "/top/us", "/top", "/top/cn", "/top/eu",
+              "/top/cn/gd", "/top/cn/bj", "/top/us/ny", "/top/eu/de",
+              "/top/eu/fr", "/top/eu/es"]),
+            ("/top/eu/fr", Identifier.identity("mallory"),
+             ["/top/eu/fr", "/top/eu", "/top", "/top/cn", "/top/us",
+              "/top/cn/gd", "/top/cn/bj", "/top/us/ca", "/top/us/ny",
+              "/top/eu/de", "/top/eu/es"])):
+        res = hier.resolve(origin, ident)
+        assert res.outcome is ResolutionOutcome.NOT_FOUND
+        assert [h.text for h in res.hops] == hops
+        assert res.message == (f"{ident.text} not found after visiting "
+                               f"11 domains")
+        assert (res.record, res.forwarding) == (None, None)
+    bound = hier.resolve("/top/us/ca", Identifier.geo("cn.gd"))
+    assert bound.outcome is ResolutionOutcome.RESOLVED
+    assert [h.text for h in bound.hops] == ["/top/us/ca", "/top/us", "/top",
+                                            "/top/cn"]
+    assert bound.forwarding.face_id == 7
+
+
 def test_consensus_failure_leaves_no_trace():
     hier = Hierarchy.default()
     gd = hier.domain("/top/cn/gd")

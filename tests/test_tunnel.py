@@ -5,7 +5,7 @@ import pickle
 from itertools import accumulate, groupby
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minet.names import ContentName
 from minet.tunnel import (
@@ -169,6 +169,21 @@ def test_state_machine_guards():
     conn.terminate()
     with pytest.raises(InvalidState):
         conn.terminate()
+
+
+def test_send_takes_a_snapshot_of_a_bytes_like_payload():
+    conn = TunnelConnection(TunnelMode.IP_CCN, segment_size=4)
+    conn.establish()
+    buf = bytearray(b"abcdefghij")
+    assert conn.send(buf) == 3
+    buf[:] = b"XXXXXXXXXX"
+    data = [p.payload for p in conn.interest_log if p.signaling.flags == 0]
+    assert data == [b"abcd", b"efgh", b"ij"]
+    assert conn.receiver_digest() == hashlib.sha256(b"abcdefghij").hexdigest()
+    for bad in (5, "text"):
+        with pytest.raises(TypeError):
+            conn.send(bad)
+    assert conn.bytes_delivered == 10
 
 
 def test_transfer_fidelity_all_modes_1mib():
@@ -407,3 +422,133 @@ def test_pickled_modes_hash_equal_and_hit_the_same_plans():
         assert back is mode
         assert {mode: 1}[back] == 1
         assert _plans(back, frozenset()) is _plans(mode, frozenset())
+
+
+def _labels(mode):
+    return [n.label for n in TunnelConnection(mode).nodes]
+
+
+class _FlightReplay:
+    """A connection moved one flight at a time: each flight logs its
+    Interests up to the first down node on its path, and only a flight
+    that gets through counts its Interests and delivers its payload."""
+
+    def __init__(self, mode, down, segment_size):
+        nodes = TunnelConnection(mode).nodes
+        segments = mode.segments
+        self.routes = {True: self._route(nodes[1:], segments, down),
+                       False: self._route(nodes[-2::-1], segments[::-1],
+                                          down)}
+        self.segment_size = segment_size
+        self.seq = {True: 0, False: 0}
+        self.state = "Closed"
+        self.interests = 0
+        self.delivered = bytearray()
+        self.log = []
+
+    @staticmethod
+    def _route(path, segments, down):
+        names = []
+        for node, segment in zip(path, segments):
+            if node.label in down:
+                return names, node.label
+            if segment == "ccn":
+                names.append(ContentName.parse(f"{node.prefix.text}/"
+                                               f"{CONN_ID}"))
+        return names, None
+
+    def flight(self, flags, forward, payload=None):
+        ends = (("10.0.0.1", "10.0.0.2", 40001, 80) if forward
+                else ("10.0.0.2", "10.0.0.1", 80, 40001))
+        header = SignalingHeader(flags, self.seq[forward],
+                                 self.seq[not forward], *ends)
+        names, down = self.routes[forward]
+        self.log += [InterestPacket(name, header, payload) for name in names]
+        if down is not None:
+            self.state = "Closed"
+            raise Timeout(f"node {down} is unreachable")
+        self.interests += len(names)
+        if payload is not None:
+            self.delivered += payload
+
+    def bump(self, forward, n):
+        self.seq[forward] = (self.seq[forward] + n) % 2**32
+
+    def establish(self):
+        self.flight(FLAG_SYN, True)
+        self.bump(True, 1)
+        self.flight(FLAG_SYN | FLAG_ACK, False)
+        self.bump(False, 1)
+        self.flight(FLAG_ACK, True)
+        self.state = "Established"
+
+    def send(self, payload):
+        size = self.segment_size
+        for off in range(0, len(payload), size):
+            chunk = payload[off:off + size]
+            self.flight(0, True, chunk)
+            self.bump(True, len(chunk))
+            self.flight(FLAG_ACK, False)
+        return len(range(0, len(payload), size))
+
+    def terminate(self):
+        self.flight(FLAG_FIN, True)
+        self.bump(True, 1)
+        self.flight(FLAG_ACK, False)
+        self.flight(FLAG_FIN, False)
+        self.bump(False, 1)
+        self.flight(FLAG_ACK, True)
+        self.state = "Closed"
+
+
+def _run_phases(conn, payload):
+    """Establish, send and terminate; the segments sent and Timeout text."""
+    segments, error = None, ""
+    try:
+        conn.establish()
+        segments = conn.send(payload)
+        conn.terminate()
+    except Timeout as exc:
+        error = str(exc)
+    return segments, error
+
+
+routes = st.sampled_from(MODES).flatmap(lambda mode: st.tuples(
+    st.just(mode),
+    st.lists(st.sampled_from(_labels(mode)), max_size=2, unique=True)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(routes, st.binary(max_size=20000), st.integers(1, 5000))
+@example((TunnelMode.CCN_IP_CCN, []), bytes(range(256)) * 40, 7)
+@example((TunnelMode.IP_CCN_IP, ["mir2"]), b"x" * 100, 10)
+@example((TunnelMode.IP_CCN, ["B"]), b"abc", 1)
+@example((TunnelMode.CCN_IP, ["B", "A"]), b"", 1)
+def test_phases_match_a_flight_by_flight_replay(route, payload, seg_size):
+    mode, down = route
+    conn = TunnelConnection(mode, segment_size=seg_size, down=down)
+    replay = _FlightReplay(mode, set(down), seg_size)
+    assert _run_phases(conn, payload) == _run_phases(replay, payload)
+    assert (conn.interests_sent, conn.bytes_delivered,
+            conn.seq_fwd, conn.seq_rev, conn.state.value) == (
+        replay.interests, len(replay.delivered),
+        replay.seq[True], replay.seq[False], replay.state)
+    assert b"".join(p.encode() for p in conn.interest_log) == b"".join(
+        p.encode() for p in replay.log)
+    assert conn.receiver_digest() == hashlib.sha256(
+        replay.delivered).hexdigest()
+
+
+def test_one_byte_segments_of_a_mebibyte_cost_one_phase():
+    payload = bytes(range(256)) * 4096
+    for mode in MODES:
+        conn = TunnelConnection(mode, segment_size=1)
+        conn.establish()
+        assert conn.send(payload) == 1 << 20
+        conn.terminate()
+        crossings = mode.segments.count("ccn")
+        assert conn.interests_sent == crossings * (3 + 4 + 2 * (1 << 20))
+        assert conn.bytes_delivered == 1 << 20
+        assert (conn.seq_fwd, conn.seq_rev) == (2 + (1 << 20), 2)
+        assert conn.state is TunnelState.CLOSED
+        assert conn.receiver_digest() == hashlib.sha256(payload).hexdigest()
