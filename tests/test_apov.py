@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import hmac
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from minet.apov import (
     Block,
@@ -38,7 +41,9 @@ from minet.apov import (
     sign_vote,
     tally_and_seal,
     validate_block_group,
+    verify_vote_signature,
 )
+from minet.apov import _node_secret
 
 N_B = 4  # bookkeepers per round
 CFG = ConsensusConfig(n_c=3, max_txs=100)
@@ -409,3 +414,30 @@ def test_node_keys_distinct():
     s2 = sign_vote(2, b"\x00" * 32, True)
     s3 = sign_vote(1, b"\x00" * 32, False)
     assert len({s1, s2, s3}) == 3
+
+
+_BLOCK_HASHES = st.one_of(
+    st.binary(min_size=32, max_size=32),
+    st.integers(0, 40).flatmap(lambda k: st.binary(min_size=2 * k + 1,
+                                                   max_size=2 * k + 1)))
+
+
+@given(voter=st.integers(0, 5000), block_hash=_BLOCK_HASHES,
+       approve=st.booleans(), bit=st.integers(0, 255))
+def test_vote_signature_matches_plain_hmac(voter, block_hash, approve, bit):
+    msg = (b"vote" + block_hash + (b"\x01" if approve else b"\x00")
+           + struct.pack(">q", voter))
+    sig = sign_vote(voter, block_hash, approve)
+    assert sig == hmac.new(_node_secret(voter), msg, hashlib.sha256).digest()
+    assert verify_vote_signature(voter, block_hash, approve, sig)
+    # a one-bit flip of any signed field or of the signature is refused
+    flipped_sig = bytearray(sig)
+    flipped_sig[bit // 8] ^= 1 << (bit % 8)
+    assert not verify_vote_signature(voter, block_hash, approve,
+                                     bytes(flipped_sig))
+    flipped_hash = bytearray(block_hash)
+    flipped_hash[bit % len(block_hash)] ^= 1 << (bit % 8)
+    assert not verify_vote_signature(voter, bytes(flipped_hash), approve, sig)
+    assert not verify_vote_signature(voter, block_hash, not approve, sig)
+    assert not verify_vote_signature(voter ^ (1 << (bit % 13)), block_hash,
+                                     approve, sig)

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import hashlib
+import struct
 import tracemalloc
 
 import pytest
@@ -269,6 +271,29 @@ def test_registration_keeps_bounded_memory(kind):
         tracemalloc.stop()
     assert cn.chain.height == count + 1
     assert kept / count <= 1024, kept / count
+
+
+def test_registry_chain_bytes_are_pinned():
+    # every kind, one binding, and a domain that commits several rounds
+    hier = Hierarchy.default()
+    hier.register("/top/cn", content_request("/video/v1"))
+    hier.register("/top/cn", RegistrationRequest(
+        Identifier.ip("10.0.0.8"), ALICE,
+        binds_to=ContentName.parse("/video/v1")))
+    hier.register("/top/cn", RegistrationRequest(
+        Identifier.identity("carol"), ALICE))
+    hier.register("/top/us/ny", RegistrationRequest(ALICE, ALICE))
+    hier.register("/top/eu/de", RegistrationRequest(
+        Identifier.geo("eu/de/berlin"), ALICE))
+    hier.register("/top", content_request("/library/book1", face=3))
+    hier.register("/top/cn/gd", content_request("/top/cn/gd/app/x", face=5))
+    h = hashlib.sha256()
+    for domain in sorted(hier.domains(), key=lambda d: d.name.text):
+        chain = domain.chain
+        h.update(struct.pack(">q", chain.height) + chain.tip_digest
+                 + struct.pack(">q", chain.next_leader))
+    assert h.hexdigest() == ("82d5d6409ef2d14d5e0f4a5f85abf490"
+                             "1f277ba09eb6f22e00ac50afc2c17886")
 
 
 def test_request_and_resolution_json_schema():
