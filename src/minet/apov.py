@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as hmac_mod
+import operator
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -56,18 +56,44 @@ class ChainError(ConsensusError):
 
 # -- simulated identity ----------------------------------------------------
 
+_pack_q = struct.Struct(">q").pack
+
+
+@functools.lru_cache(maxsize=1024)
 def node_pubkey(node_id: int) -> bytes:
-    return hashlib.sha256(b"node-pub:" + struct.pack(">q", node_id)).digest()
+    return hashlib.sha256(b"node-pub:" + _pack_q(node_id)).digest()
 
 
 @functools.lru_cache(maxsize=1024)
 def _node_secret(node_id: int) -> bytes:
-    return hashlib.sha256(b"node-key:" + struct.pack(">q", node_id)).digest()
+    return hashlib.sha256(b"node-key:" + _pack_q(node_id)).digest()
+
+
+# RFC 2104: HMAC(k, m) = H((k ^ opad) || H((k ^ ipad) || m)), with k
+# zero-padded to H's 64-byte block.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@functools.lru_cache(maxsize=1024)
+def _vote_pads(voter: int) -> tuple:
+    """The voter's HMAC-SHA256 inner and outer states, each with its
+    padded key already absorbed; a signature copies both."""
+    key = _node_secret(voter).ljust(64, b"\x00")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
 
 
 def sign_vote(voter: int, block_hash: bytes, approve: bool) -> bytes:
-    msg = b"vote" + block_hash + (b"\x01" if approve else b"\x00") + struct.pack(">q", voter)
-    return hmac_mod.new(_node_secret(voter), msg, hashlib.sha256).digest()
+    """HMAC-SHA256 under the voter's secret over "vote", the block hash,
+    one approve byte and the voter id, from the voter's cached pads."""
+    inner, outer = _vote_pads(voter)
+    inner = inner.copy()
+    inner.update(b"vote" + block_hash + (b"\x01" if approve else b"\x00")
+                 + _pack_q(voter))
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def verify_vote_signature(voter: int, block_hash: bytes, approve: bool,
@@ -77,7 +103,7 @@ def verify_vote_signature(voter: int, block_hash: bytes, approve: bool,
 
 # -- types -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     id: int
     payload: bytes = b""
@@ -116,7 +142,7 @@ class Block:
     txs: Txs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockVote:
     block_hash: bytes
     approve: bool
@@ -124,19 +150,19 @@ class BlockVote:
     signature: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteMessage:
     voter: int
     votes: tuple[BlockVote, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceVote:
     voter: int
     candidate: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockGroupHeader:
     height: int
     leader: int
@@ -146,7 +172,7 @@ class BlockGroupHeader:
     vote_messages: tuple[VoteMessage, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockGroup:
     header: BlockGroupHeader
     body: tuple[Block, ...]
@@ -171,13 +197,12 @@ class ConsensusConfig:
 
 def merkle_root(tx_ids: Iterable[int]) -> bytes:
     """Binary sha256 tree over transaction ids; odd nodes promote."""
-    level = [hashlib.sha256(struct.pack(">q", t)).digest() for t in tx_ids]
+    sha256, pack = hashlib.sha256, _pack_q
+    level = [sha256(pack(t)).digest() for t in tx_ids]
     if not level:
-        return hashlib.sha256(b"").digest()
+        return sha256(b"").digest()
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(hashlib.sha256(level[i] + level[i + 1]).digest())
+        nxt = [sha256(a + b).digest() for a, b in zip(level[::2], level[1::2])]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
@@ -186,12 +211,8 @@ def merkle_root(tx_ids: Iterable[int]) -> bytes:
 
 # -- canonical encoding --------------------------------------------------------
 
-def _frame(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
-
-
-def _u64(value: int) -> bytes:
-    return struct.pack(">q", value)
+_pack_I = struct.Struct(">I").pack
+_pack_qI = struct.Struct(">qI").pack
 
 
 # One encoded payload-free transaction: id, payload length 0, nominal size.
@@ -200,20 +221,21 @@ _TX_ROW = np.dtype([("id", ">i8"), ("payload_len", ">u4"),
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    return _u64(tx.id) + _frame(tx.payload) + struct.pack(">I", tx.nominal_size)
+    return _pack_qI(tx.id, len(tx.payload)) + tx.payload + _pack_I(tx.nominal_size)
 
 
 def encode_block(block: Block) -> bytes:
-    parts = [_frame(block.prev_group_hash), _frame(block.merkle),
-             _frame(block.bookkeeper_key), _u64(block.timestamp),
-             struct.pack(">I", len(block.txs))]
+    prev, merkle, key = block.prev_group_hash, block.merkle, block.bookkeeper_key
+    parts = [struct.pack(f">I{len(prev)}sI{len(merkle)}sI{len(key)}sqI",
+                         len(prev), prev, len(merkle), merkle, len(key), key,
+                         block.timestamp, len(block.txs))]
     if isinstance(block.txs, TxColumn):
         rows = np.zeros(len(block.txs), _TX_ROW)
         rows["id"] = block.txs.ids
         rows["nominal_size"] = block.txs.nominal_size
         parts.append(rows.tobytes())
     else:
-        parts.extend(encode_transaction(t) for t in block.txs)
+        parts.extend(map(encode_transaction, block.txs))
     return b"".join(parts)
 
 
@@ -248,30 +270,36 @@ def _with_ids(txs: Union[Sequence[Transaction], TxColumn]
 
 
 def encode_vote_message(msg: VoteMessage) -> bytes:
-    parts = [_u64(msg.voter), struct.pack(">I", len(msg.votes))]
+    """Voter, vote count, then per vote its framed block hash, one
+    approve byte, the voter and the framed signature, in one pack."""
+    parts = [_pack_qI(msg.voter, len(msg.votes))]
     for v in msg.votes:
-        parts.append(_frame(v.block_hash))
-        parts.append(b"\x01" if v.approve else b"\x00")
-        parts.append(_u64(v.voter))
-        parts.append(_frame(v.signature))
+        h, sig = v.block_hash, v.signature
+        parts.append(struct.pack(f">I{len(h)}s?qI{len(sig)}s", len(h), h,
+                                 v.approve, v.voter, len(sig), sig))
     return b"".join(parts)
 
 
-def encode_header(header: BlockGroupHeader) -> bytes:
-    parts = [_u64(header.height), _u64(header.leader), _u64(header.seed),
-             _u64(header.next_leader), struct.pack(">I", len(header.tally))]
-    for block_hash, yes, no in header.tally:
-        parts.append(_frame(block_hash))
-        parts.append(struct.pack(">II", yes, no))
-    parts.append(struct.pack(">I", len(header.vote_messages)))
-    parts.extend(_frame(encode_vote_message(m)) for m in header.vote_messages)
-    return b"".join(parts)
+def _header_parts(header: BlockGroupHeader) -> list[bytes]:
+    parts = [struct.pack(">qqqqI", header.height, header.leader, header.seed,
+                         header.next_leader, len(header.tally))]
+    for h, yes, no in header.tally:
+        parts.append(struct.pack(f">I{len(h)}sII", len(h), h, yes, no))
+    parts.append(_pack_I(len(header.vote_messages)))
+    for m in header.vote_messages:
+        encoded = encode_vote_message(m)
+        parts += (_pack_I(len(encoded)), encoded)
+    return parts
 
 
 def encode_block_group(group: BlockGroup) -> bytes:
-    parts = [_frame(encode_header(group.header)),
-             struct.pack(">I", len(group.body))]
-    parts.extend(_frame(encode_block(b)) for b in group.body)
+    """The framed header, the body count and each framed body block,
+    joined once, so the header is never copied into a frame of its own."""
+    head = _header_parts(group.header)
+    parts = [_pack_I(sum(map(len, head))), *head, _pack_I(len(group.body))]
+    for b in group.body:
+        encoded = encode_block(b)
+        parts += (_pack_I(len(encoded)), encoded)
     return b"".join(parts)
 
 
@@ -323,28 +351,40 @@ def tally_and_seal(leader: int, votes: Sequence[VoteMessage],
     that the draw can be re-audited; identical inputs give bit-identical
     headers.
     """
-    if len(votes) != config.n_c:
-        raise IncompleteVotes(f"{len(votes)} of {config.n_c} vote messages")
-    voters = {m.voter for m in votes}
-    if len(voters) != config.n_c:
+    n_c = config.n_c
+    if len(votes) != n_c:
+        raise IncompleteVotes(f"{len(votes)} of {n_c} vote messages")
+    if len({m.voter for m in votes}) != n_c:
         raise IncompleteVotes("duplicate voters")
     hashes = [block_digest(b) for b in blocks]
     expected = set(hashes)
     for m in votes:
-        if {v.block_hash for v in m.votes} != expected or len(m.votes) != len(blocks):
+        if len(m.votes) != len(hashes) or {v.block_hash for v in m.votes} != expected:
             raise IncompleteVotes(f"voter {m.voter} did not cover every block")
     approvals = _count_approvals(votes)
-    tally = [(h, approvals[h], config.n_c - approvals[h]) for h in hashes]
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    tally = []
+    for h in hashes:
+        yes = approvals.get(h, 0)
+        tally.append((h, yes, n_c - yes))
+    rng = np.random.Generator(np.random.PCG64(seed))
     next_leader = int(eligible[int(rng.integers(0, len(eligible)))])
-    ordered = tuple(sorted(votes, key=lambda m: m.voter))
+    ordered = tuple(sorted(votes, key=_by_voter))
     return BlockGroupHeader(height, leader, seed, next_leader,
                             tuple(tally), ordered)
 
 
-def _count_approvals(messages: Iterable[VoteMessage]) -> Counter:
-    """Approving votes per block hash, in one pass over every vote."""
-    return Counter(v.block_hash for m in messages for v in m.votes if v.approve)
+_by_voter = operator.attrgetter("voter")
+
+
+def _count_approvals(messages: Iterable[VoteMessage]) -> dict[bytes, int]:
+    """Approving votes per block hash, in one pass over every vote; a
+    hash no vote approves is absent."""
+    counts: dict[bytes, int] = {}
+    for m in messages:
+        for v in m.votes:
+            if v.approve:
+                counts[v.block_hash] = counts.get(v.block_hash, 0) + 1
+    return counts
 
 
 def assemble_group(header: BlockGroupHeader,
@@ -365,10 +405,9 @@ def validate_block_group(group: BlockGroup, config: ConsensusConfig,
     header = group.header
     if len(header.vote_messages) != config.n_c:
         problems.append("vote messages incomplete")
-    tally_hashes = [h for h, _, _ in header.tally]
+    tally_hashes = {h for h, _, _ in header.tally}
     for msg in header.vote_messages:
-        seen = {v.block_hash for v in msg.votes}
-        if seen != set(tally_hashes):
+        if {v.block_hash for v in msg.votes} != tally_hashes:
             problems.append(f"voter {msg.voter} vote coverage mismatch")
         for v in msg.votes:
             if v.voter != msg.voter:
@@ -378,7 +417,7 @@ def validate_block_group(group: BlockGroup, config: ConsensusConfig,
                 problems.append(f"bad signature from voter {v.voter}")
     approvals = _count_approvals(header.vote_messages)
     for h, yes, no in header.tally:
-        if approvals[h] != yes or yes + no != config.n_c:
+        if approvals.get(h, 0) != yes or yes + no != config.n_c:
             problems.append("tally does not match vote messages")
             break
     body_hashes = [block_digest(b) for b in group.body]

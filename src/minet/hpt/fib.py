@@ -52,7 +52,7 @@ class EntryState(IntEnum):
 
 
 # EnumType defines __getattr__, so a member read off its class takes a
-# Python-level hook; `translate` reads this name instead
+# Python-level hook; `translate` and `bind_identifier` read this instead
 _CONTENT = IdKind.CONTENT
 
 _STATE_TOKEN = ("real", "virtual", "semi-virtual")   # indexed by state
@@ -224,7 +224,7 @@ class Hpt:
     # -- identifier bindings ----------------------------------------------
 
     def bind_identifier(self, content: ContentName, alt: Identifier) -> None:
-        if alt.kind is IdKind.CONTENT:
+        if alt.kind is _CONTENT:
             raise ValueError("content identifiers resolve directly; nothing to bind")
         nid = self.index.get(content.text)
         if nid is None or self.forwarding[nid] is None:

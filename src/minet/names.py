@@ -87,6 +87,13 @@ class IdKind(Enum):
     __hash__ = object.__hash__
 
 
+# EnumType defines __getattr__ and `value` is a Python-level property, so
+# `Identifier` reads its kinds and their schemes from these instead
+_IDENTITY, _CONTENT, _GEO, _IP = (IdKind.IDENTITY, IdKind.CONTENT,
+                                  IdKind.GEO, IdKind.IP)
+_SCHEME = {kind: kind.value for kind in IdKind}
+
+
 @dataclass(frozen=True, slots=True)
 class Identifier:
     """One of the four identifier families, tagged by kind."""
@@ -98,19 +105,19 @@ class Identifier:
     def identity(cls, name: str) -> "Identifier":
         if not name:
             raise ParseError("empty identity")
-        return cls(IdKind.IDENTITY, name)
+        return cls(_IDENTITY, name)
 
     @classmethod
     def content(cls, name: Union[str, ContentName]) -> "Identifier":
         if isinstance(name, str):
             name = ContentName.parse(name)
-        return cls(IdKind.CONTENT, name)
+        return cls(_CONTENT, name)
 
     @classmethod
     def geo(cls, code: str) -> "Identifier":
         if not code:
             raise ParseError("empty geographic code")
-        return cls(IdKind.GEO, code)
+        return cls(_GEO, code)
 
     @classmethod
     def ip(cls, addr: Union[str, IpAddress]) -> "Identifier":
@@ -119,7 +126,7 @@ class Identifier:
                 addr = ipaddress.ip_address(addr)
             except ValueError as exc:
                 raise ParseError(f"malformed IP address: {addr!r}") from exc
-        return cls(IdKind.IP, addr)
+        return cls(_IP, addr)
 
     @classmethod
     def parse(cls, text: str) -> "Identifier":
@@ -138,9 +145,10 @@ class Identifier:
 
     @property
     def text(self) -> str:
-        if self.kind is IdKind.CONTENT:
+        kind = self.kind
+        if kind is _CONTENT:
             return f"content:{self.value.text}"
-        return f"{self.kind.value}:{self.value}"
+        return f"{_SCHEME[kind]}:{self.value}"
 
     def __str__(self) -> str:
         return self.text

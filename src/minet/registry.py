@@ -27,6 +27,7 @@ are rejected no matter which domain receives the request.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import deque
@@ -102,8 +103,8 @@ class ResolutionResult:
 
 
 # EnumType defines __getattr__, so a member read off its class takes a
-# Python-level hook; the resolve walk reads these names instead
-_CONTENT, _IP = IdKind.CONTENT, IdKind.IP
+# Python-level hook; registration and the resolve walk read these instead
+_CONTENT, _IDENTITY, _IP = IdKind.CONTENT, IdKind.IDENTITY, IdKind.IP
 _RESOLVED = ResolutionOutcome.RESOLVED
 
 
@@ -135,14 +136,15 @@ class Domain:
 def default_compliance(domain: Domain,
                        request: RegistrationRequest) -> Optional[str]:
     """Syntactic validity of the request, beyond what the types enforce."""
-    if request.owner.kind is not IdKind.IDENTITY:
+    if request.owner.kind is not _IDENTITY:
         return "owner must be an identity identifier"
-    if request.identifier.kind is IdKind.CONTENT and request.forwarding is None:
+    content = request.identifier.kind is _CONTENT
+    if content and request.forwarding is None:
         return "content registration needs forwarding information"
-    if request.identifier.kind is not IdKind.CONTENT and request.forwarding is not None:
+    if not content and request.forwarding is not None:
         return "only content registrations carry forwarding information"
     if request.binds_to is not None:
-        if request.identifier.kind is IdKind.CONTENT:
+        if content:
             return "a content identifier cannot bind to another content entry"
         if Identifier.content(request.binds_to) not in domain.offchain:
             return f"binds_to target {request.binds_to.text} not committed here"
@@ -208,7 +210,7 @@ class Hierarchy:
                                     domain.name, height, "committed", tx.id)
         domain.offchain[request.identifier] = record
         self.committed[request.identifier] = domain.name
-        if request.identifier.kind is IdKind.CONTENT:
+        if request.identifier.kind is _CONTENT:
             domain.fib.insert(request.identifier.value, request.forwarding)
         if request.binds_to is not None:
             domain.fib.bind_identifier(request.binds_to, request.identifier)
@@ -218,8 +220,7 @@ class Hierarchy:
     def _commit_round(self, domain: Domain, txs: list[Transaction]) -> int:
         """One consensus round among the domain's supervisors: the round
         leader packs the registration block, every supervisor votes."""
-        cfg = ConsensusConfig(n_c=len(domain.supervisors),
-                              max_txs=max(64, len(txs)))
+        cfg = _round_config(len(domain.supervisors), max(64, len(txs)))
         height = domain.chain.height + 1
         prev = domain.chain.tip_digest
         leader = domain.chain.next_leader
@@ -242,15 +243,15 @@ class Hierarchy:
             domain.chain.append(group, cfg)
         except ChainError as exc:
             raise ConsensusFailed(str(exc)) from exc
-        domain.committed_ids.append(tuple(t.id for b in group.body
-                                          for t in b.txs))
+        # the body is the one block, or the round would have failed
+        domain.committed_ids.append(tuple([t.id for t in block.txs]))
         return height
 
     def _store(self, record: RegistrationRecord) -> None:
         if self.store_path is None:
             return
         with open(self.store_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+            fh.write(_JSON.encode(record_to_dict(record)) + "\n")
 
     # -- resolution -----------------------------------------------------------
 
@@ -375,9 +376,18 @@ def _resolved(found: tuple[Optional[RegistrationRecord],
                             message=message)
 
 
+# json.dumps(obj, sort_keys=True) builds this encoder on every call
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
+@functools.lru_cache(maxsize=16)
+def _round_config(n_c: int, max_txs: int) -> ConsensusConfig:
+    return ConsensusConfig(n_c=n_c, max_txs=max_txs)
+
+
 def _registration_tx(request: RegistrationRequest, domain: Domain
                      ) -> Transaction:
-    payload = json.dumps(request_to_dict(request), sort_keys=True).encode()
+    payload = _JSON.encode(request_to_dict(request)).encode()
     digest = hashlib.sha256(
         f"{domain.name.text}|{request.identifier.text}".encode()).digest()
     tx_id = int.from_bytes(digest[:8], "big") >> 1
