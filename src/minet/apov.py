@@ -64,7 +64,6 @@ def node_pubkey(node_id: int) -> bytes:
     return hashlib.sha256(b"node-pub:" + _pack_q(node_id)).digest()
 
 
-@functools.lru_cache(maxsize=1024)
 def _node_secret(node_id: int) -> bytes:
     return hashlib.sha256(b"node-key:" + _pack_q(node_id)).digest()
 

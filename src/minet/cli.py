@@ -399,8 +399,6 @@ def _model_row(cell: dict) -> tuple:
 
 
 def _cmd_model_eval(ns, out: Path) -> tuple:
-    if ns.nodes < 3:
-        raise perfmodel.ModelError("need at least three nodes")
     cell, = perfmodel.sweep_grid([ns.nodes], [ns.speedup], [ns.band],
                                  ns.txs_per_block)
     print(f"n={ns.nodes} a={ns.speedup:g} band={ns.band:g} B/s: "
@@ -422,8 +420,6 @@ def _cmd_model_sweep(ns, out: Path) -> tuple:
     n_values = _ints(ns.nodes)
     speedups = _floats(ns.speedups)
     bands = _floats(ns.bands)
-    if any(n < 3 for n in n_values):
-        raise perfmodel.ModelError("need at least three nodes")
     cells = list(perfmodel.sweep_grid(n_values, speedups, bands,
                                       ns.txs_per_block))
     best = max(cells, key=lambda cell: cell["throughput"])

@@ -213,14 +213,16 @@ def sweep_grid(n_values: Sequence[int], speedups: Sequence[float],
     sum, matching the whole-round fit at a=1 and the reference
     bandwidth.  The throughput column divides by the round time with
     the leader's sealing surcharge included, so t_cons * throughput is
-    deliberately less than n * txs_per_block.  An empty axis, a speedup
-    that is not finite and positive, a band that is not finite and at
-    least one byte/second (as `SimConfig` requires; a subnormal band
-    underflows to zero in MB/s), or txs_per_block below one raises
-    ModelError at the first step.
+    deliberately less than n * txs_per_block.  An empty axis, a node
+    count below three, a speedup that is not finite and positive, a band
+    that is not finite and at least one byte/second (as `SimConfig`
+    requires; a subnormal band underflows to zero in MB/s), or
+    txs_per_block below one raises ModelError at the first step.
     """
     if 0 in (len(n_values), len(speedups), len(bands)):
         raise ModelError("every sweep axis needs at least one value")
+    if any(n < 3 for n in n_values):
+        raise ModelError("need at least three nodes")
     if not all(0 < x < math.inf for x in speedups):
         raise ModelError("speedups must be finite and positive")
     if not all(1 <= x < math.inf for x in bands):

@@ -27,7 +27,6 @@ are rejected no matter which domain receives the request.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from collections import deque
@@ -51,6 +50,8 @@ from .names import ContentName, ForwardingInfo, IdKind, Identifier
 
 CACHE_LIMIT = 256
 SUPERVISORS = (0, 1, 2, 3)        # every domain's supervisor node ids
+# every round: all supervisors vote on one registration
+_ROUND_CONFIG = ConsensusConfig(n_c=len(SUPERVISORS), max_txs=1)
 
 
 class RegistryError(Exception):
@@ -205,7 +206,7 @@ class Hierarchy:
         if reason is not None:
             raise ComplianceRejected(reason)
         tx = _registration_tx(request, domain)
-        height = self._commit_round(domain, [tx])
+        height = self._commit_round(domain, tx)
         record = RegistrationRecord(request.identifier, request.owner,
                                     domain.name, height, "committed", tx.id)
         domain.offchain[request.identifier] = record
@@ -217,21 +218,21 @@ class Hierarchy:
         self._store(record)
         return record
 
-    def _commit_round(self, domain: Domain, txs: list[Transaction]) -> int:
+    def _commit_round(self, domain: Domain, tx: Transaction) -> int:
         """One consensus round among the domain's supervisors: the round
         leader packs the registration block, every supervisor votes."""
-        cfg = _round_config(len(domain.supervisors), max(64, len(txs)))
         height = domain.chain.height + 1
         prev = domain.chain.tip_digest
         leader = domain.chain.next_leader
-        block = make_block(leader, txs, prev, timestamp=height, config=cfg)
-        votes = [cast_validation_votes(v, [block], prev, cfg)
+        block = make_block(leader, [tx], prev, timestamp=height,
+                           config=_ROUND_CONFIG)
+        votes = [cast_validation_votes(v, [block], prev, _ROUND_CONFIG)
                  for v in domain.supervisors
                  if v not in domain.down_supervisors]
         seed = _round_seed(domain.name, height)
         try:
             header = tally_and_seal(leader, votes, [block], height, seed,
-                                    cfg, eligible=domain.supervisors)
+                                    _ROUND_CONFIG, eligible=domain.supervisors)
         except IncompleteVotes as exc:
             raise ConsensusFailed(f"round stalled in {domain.name.text}: "
                                   f"{exc}") from exc
@@ -240,11 +241,11 @@ class Hierarchy:
             raise ConsensusFailed(f"registration block voted down in "
                                   f"{domain.name.text}")
         try:
-            domain.chain.append(group, cfg)
+            domain.chain.append(group, _ROUND_CONFIG)
         except ChainError as exc:
             raise ConsensusFailed(str(exc)) from exc
         # the body is the one block, or the round would have failed
-        domain.committed_ids.append(tuple([t.id for t in block.txs]))
+        domain.committed_ids.append((tx.id,))
         return height
 
     def _store(self, record: RegistrationRecord) -> None:
@@ -378,11 +379,6 @@ def _resolved(found: tuple[Optional[RegistrationRecord],
 
 # json.dumps(obj, sort_keys=True) builds this encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True)
-
-
-@functools.lru_cache(maxsize=16)
-def _round_config(n_c: int, max_txs: int) -> ConsensusConfig:
-    return ConsensusConfig(n_c=n_c, max_txs=max_txs)
 
 
 def _registration_tx(request: RegistrationRequest, domain: Domain

@@ -4,14 +4,14 @@ Every node owns one full-duplex link: an uplink and a downlink that each
 carry one message at a time at `band` bytes per second.  A transfer
 grabs the sender's uplink and the receiver's downlink together, so
 broadcasts serialize on the sender's uplink and fan-ins serialize on the
-receiver's downlink.  Message sizes are nominal accounting values from
-the size parameters; the structures that actually flow carry real
-digests and signatures.  A run keeps one chain for all its nodes: every
-node starts from the same genesis and appends the same sealed group, so
-no two nodes' copies can differ, and one validation per round stands
-for every node's.  The chain keeps only its tip, and a round's blocks
-and group are dropped once it ends, so a run's memory does not grow
-with its round count.
+receiver's downlink.  Message sizes are nominal accounting values,
+`perfmodel.ModelParams`'s defaults; the structures that actually flow
+carry real digests and signatures.  A run keeps one chain for all its
+nodes: every node starts from the same genesis and appends the same
+sealed group, so no two nodes' copies can differ, and one validation
+per round stands for every node's.  The chain keeps only its tip, and a
+round's blocks and group are dropped once it ends, so a run's memory
+does not grow with its round count.
 
 A round walks four steps, each started only once the previous one is
 complete:
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -92,18 +92,19 @@ class SimConfig:
     rounds: int = 1
     seed: int = 0
     band: float = 125e6             # bytes/second per node per direction
-    msg_bytes: int = 266
-    block_header_bytes: int = 692
-    tx_bytes: int = 40
     txs_per_block: int = 10_000
-    vote_header_bytes: int = 400
-    vote_per_block_bytes: int = 100
-    result_header_bytes: int = 170
-    result_per_block_bytes: int = 400
     compute_model: str = "fitted"
     leader_in_consortium: bool = False
     first_leader: int = 0
     faults: tuple[FaultSpec, ...] = ()
+    # message sizes: perfmodel's defaults, readable here but not settable
+    msg_bytes: ClassVar[int] = perfmodel.ModelParams.msg_bytes
+    block_header_bytes: ClassVar[int] = perfmodel.ModelParams.block_header_bytes
+    tx_bytes: ClassVar[int] = perfmodel.ModelParams.tx_bytes
+    vote_header_bytes: ClassVar[int] = perfmodel.ModelParams.vote_header_bytes
+    vote_per_block_bytes: ClassVar[int] = perfmodel.ModelParams.vote_per_block_bytes
+    result_header_bytes: ClassVar[int] = perfmodel.ModelParams.result_header_bytes
+    result_per_block_bytes: ClassVar[int] = perfmodel.ModelParams.result_per_block_bytes
 
     def __post_init__(self) -> None:
         if self.node_count < 2:
@@ -112,12 +113,8 @@ class SimConfig:
             raise ConfigInvalid("rounds must be positive")
         if not 1 <= self.band < math.inf:
             raise ConfigInvalid("band must be finite and at least one byte/second")
-        for name in ("msg_bytes", "block_header_bytes", "tx_bytes",
-                     "txs_per_block", "vote_header_bytes",
-                     "vote_per_block_bytes", "result_header_bytes",
-                     "result_per_block_bytes"):
-            if getattr(self, name) <= 0:
-                raise ConfigInvalid(f"{name} must be positive")
+        if self.txs_per_block <= 0:
+            raise ConfigInvalid("txs_per_block must be positive")
         if self.compute_model not in COMPUTE_MODELS:
             raise ConfigInvalid(f"unknown compute model {self.compute_model!r}")
         if not 0 <= self.first_leader < self.node_count:
@@ -316,16 +313,8 @@ class _Sim:
         self.comp_ns = _compute_durations_ns(config.compute_model, n)
         sizes = perfmodel.ModelParams(
             node_count=n,
-            bookkeepers=n,
             voters=n if config.leader_in_consortium else n - 1,
-            msg_bytes=config.msg_bytes,
-            block_header_bytes=config.block_header_bytes,
-            tx_bytes=config.tx_bytes,
             txs_per_block=config.txs_per_block,
-            vote_header_bytes=config.vote_header_bytes,
-            vote_per_block_bytes=config.vote_per_block_bytes,
-            result_header_bytes=config.result_header_bytes,
-            result_per_block_bytes=config.result_per_block_bytes,
             band=config.band)
         self.block_bytes = perfmodel.block_message_bytes(sizes)
         self.vote_bytes = perfmodel.vote_message_bytes(sizes)

@@ -29,10 +29,10 @@ closed-form one, and each records one tuple.  The Interest log is
 expanded from those tuples, flight by flight, only when it is read.  A
 down node surfaces as a Timeout and the connection folds back to Closed.
 Every node lies on the forward or the reverse path and a handshake takes
-both, so only a connection with no node down gets past establish; each
-mode's establish and terminate records are built once, at import, and
-shared.  Sequence and acknowledgment numbers wrap modulo 2**32, as in
-TCP.
+both, so only a connection with no node down gets past establish.  Each
+(mode, down set) route is planned once and holds its handshake records,
+which every connection on it shares.  Sequence and acknowledgment
+numbers wrap modulo 2**32, as in TCP.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ class TunnelMode(Enum):
     CCN_IP_CCN = "ccn-ip-ccn"
 
     # members are singletons, so identity hashing keeps equality and
-    # skips Enum's Python-level __hash__ on every _plans lookup
+    # skips Enum's Python-level __hash__ on every _route lookup
     __hash__ = object.__hash__
 
     @property
@@ -272,26 +272,6 @@ def _build_chain(mode: TunnelMode) -> tuple[ChainNode, ...]:
 CHAINS = {mode: _build_chain(mode) for mode in TunnelMode}
 
 
-@functools.cache     # at most 4 modes x 16 down sets of their chain labels
-def _plans(mode: TunnelMode, down: frozenset[str]
-           ) -> tuple[tuple[tuple[ContentName, ...], Optional[str]], ...]:
-    """Per direction (index True: A->B), the Interest names a flight sends
-    before the first node in `down`, and that node's label or None."""
-    nodes = CHAINS[mode]
-    plans = []
-    for path, segments in ((nodes[-2::-1], mode.segments[::-1]),
-                           (nodes[1:], mode.segments)):
-        names, stop = [], None
-        for node, segment in zip(path, segments, strict=True):
-            if node.label in down:
-                stop = node.label
-                break
-            if segment == "ccn":
-                names.append(node.prefix.child(CONN_ID))
-        plans.append((tuple(names), stop))
-    return tuple(plans)
-
-
 # (flags, forward, seq_fwd step, seq_rev step) of each flight of the two
 # handshakes; a flight's steps apply once it has gone through
 _ESTABLISH = ((FLAG_SYN, True, 1, 0), (FLAG_SYN | FLAG_ACK, False, 0, 1),
@@ -316,32 +296,48 @@ def _outcome(plans, flights) -> tuple:
     return flights, interests, step_fwd, step_rev, None
 
 
-class _Route(NamedTuple):
-    plans: tuple               # as `_plans` returns them
-    establish: tuple           # as `_outcome` returns them
-    terminate: tuple
-    per_segment: int           # Interests of one data flight and its ACK
-
-
-@functools.cache     # keyed as `_plans`
-def _route(mode: TunnelMode, down: frozenset[str]) -> _Route:
-    plans = _plans(mode, down)
-    return _Route(plans, _outcome(plans, _ESTABLISH),
-                  _outcome(plans, _TERMINATE),
-                  len(plans[True][0]) + len(plans[False][0]))
-
-
-def _records(mode: TunnelMode, flights) -> tuple[ExchangeRecord, ...]:
-    """The records of a handshake, which completes only with no node down."""
-    plans = _plans(mode, frozenset())
+def _records(plans, flights) -> tuple[ExchangeRecord, ...]:
     return tuple(ExchangeRecord(flag_names(flags), "fwd" if fwd else "rev",
                                 len(plans[fwd][0]))
                  for flags, fwd, _, _ in flights)
 
 
-_ESTABLISH_RECORDS = {m: _records(m, _ESTABLISH) for m in TunnelMode}
-_TERMINATE_RECORDS = {m: _records(m, _TERMINATE) for m in TunnelMode}
-_LABELS = {m: frozenset(n.label for n in CHAINS[m]) for m in TunnelMode}
+class _Route(NamedTuple):
+    # per direction (index True: A->B), the Interest names a flight sends
+    # before the first node in the down set, and that node's label or None
+    plans: tuple
+    establish: tuple           # as `_outcome` returns them
+    terminate: tuple
+    per_segment: int           # Interests of one data flight and its ACK
+    # a handshake completes only with no node down, so these are read
+    # only from that route
+    establish_records: tuple[ExchangeRecord, ...]
+    terminate_records: tuple[ExchangeRecord, ...]
+
+
+@functools.cache     # at most 4 modes x 16 down sets of their chain labels
+def _route(mode: TunnelMode, down: frozenset[str]) -> _Route:
+    nodes = CHAINS[mode]
+    unknown = down - {node.label for node in nodes}
+    if unknown:     # raised, so never cached
+        raise TunnelError(f"no node {', '.join(sorted(unknown))} in "
+                          f"the {mode.value} chain")
+    plans = []
+    for path, segments in ((nodes[-2::-1], mode.segments[::-1]),
+                           (nodes[1:], mode.segments)):
+        names, stop = [], None
+        for node, segment in zip(path, segments, strict=True):
+            if node.label in down:
+                stop = node.label
+                break
+            if segment == "ccn":
+                names.append(node.prefix.child(CONN_ID))
+        plans.append((tuple(names), stop))
+    plans = tuple(plans)
+    return _Route(plans, _outcome(plans, _ESTABLISH),
+                  _outcome(plans, _TERMINATE),
+                  len(plans[True][0]) + len(plans[False][0]),
+                  _records(plans, _ESTABLISH), _records(plans, _TERMINATE))
 
 
 class TunnelConnection:
@@ -352,10 +348,7 @@ class TunnelConnection:
         self.mode = mode
         self.nodes = CHAINS[mode]
         self.down = frozenset(down)
-        unknown = self.down - _LABELS[mode]
-        if unknown:
-            raise TunnelError(f"no node {', '.join(sorted(unknown))} in "
-                              f"the {mode.value} chain")
+        self._route = _route(mode, self.down)
         if segment_size < 1:
             raise TunnelError(f"segment size {segment_size} is not positive")
         self.conn_id = CONN_ID
@@ -370,7 +363,6 @@ class TunnelConnection:
         # data push, with the sequence numbers the phase started from
         self._phases: list[tuple] = []
         self._received = hashlib.sha256()     # of the bytes delivered to B
-        self._route = _route(mode, self.down)
 
     @property
     def interest_log(self) -> list[InterestPacket]:
@@ -419,7 +411,7 @@ class TunnelConnection:
             raise InvalidState(f"establish from {self.state.value}")
         self._handshake(self._route.establish)
         self.state = _ESTABLISHED
-        return list(_ESTABLISH_RECORDS[self.mode])
+        return list(self._route.establish_records)
 
     def send(self, payload: bytes) -> int:
         """Stop-and-wait payload push; returns data segments used.  Every
@@ -445,7 +437,7 @@ class TunnelConnection:
             raise InvalidState(f"terminate from {self.state.value}")
         self._handshake(self._route.terminate)
         self.state = _CLOSED
-        return list(_TERMINATE_RECORDS[self.mode])
+        return list(self._route.terminate_records)
 
     def receiver_digest(self) -> str:
         return self._received.hexdigest()

@@ -41,6 +41,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-sweep", "--nodes", "a:b"],
                  ["model-sweep", "--speedups", "1,z"],
                  ["model-sweep", "--nodes", "5:3"],
+                 ["model-sweep", "--nodes", "2:4"],
                  ["model-sweep", "--speedups", ","],
                  ["model-sweep", "--bands", "0"],
                  ["model-sweep", "--speedups", "0"],

@@ -161,6 +161,9 @@ def test_param_validation():
         scaled_computation_time(3, 0.0)
     with pytest.raises(ModelError):
         next(sweep_grid([3], [1.0], [125e6], txs_per_block=0))
+    for n in (-1, 0, 2):
+        with pytest.raises(ModelError, match="at least three nodes"):
+            next(sweep_grid([3, n], [1.0], [125e6]))
     for band in (1e-320, 0.5, math.inf, math.nan):
         with pytest.raises(ModelError, match="at least one byte/second"):
             next(sweep_grid([3], [1.0], [band]))

@@ -338,6 +338,8 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         SimConfig(band=0)
     with pytest.raises(ConfigInvalid):
+        SimConfig(txs_per_block=0)
+    with pytest.raises(ConfigInvalid):
         SimConfig(compute_model="nope")
     with pytest.raises(UnknownNode):
         SimConfig(first_leader=7)
@@ -350,6 +352,22 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         inject_fault(SimConfig(), FaultSpec(node=0, behavior="invalid_blocks",
                                             round=3))
+
+
+MESSAGE_SIZES = ("msg_bytes", "block_header_bytes", "tx_bytes",
+                 "vote_header_bytes", "vote_per_block_bytes",
+                 "result_header_bytes", "result_per_block_bytes")
+
+
+def test_message_sizes_are_the_model_constants():
+    with pytest.raises(TypeError):
+        SimConfig(msg_bytes=1)
+    defaults = perfmodel.ModelParams()
+    for name in MESSAGE_SIZES:
+        assert getattr(SimConfig(), name) == getattr(defaults, name)
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "node_count", "rounds", "seed", "band", "txs_per_block",
+        "compute_model", "leader_in_consortium", "first_leader", "faults"]
 
 
 def test_round_seed_varies_by_height_and_config_seed():

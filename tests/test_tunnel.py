@@ -26,7 +26,7 @@ from minet.tunnel import (
     TunnelState,
     flag_names,
     read_interest_log,
-    _plans,
+    _route,
     run_scenario,
     write_interest_log,
 )
@@ -272,6 +272,14 @@ def test_bad_connection_parameters_raise_at_connect():
         run_scenario(TunnelMode.IP_CCN, b"x", down_nodes=["mir2"])
     with pytest.raises(TunnelError):
         TunnelConnection(TunnelMode.IP_CCN, segment_size=0)
+    # the label is checked before the segment size
+    with pytest.raises(TunnelError, match="mir2"):
+        TunnelConnection(TunnelMode.IP_CCN, segment_size=0, down={"mir2"})
+    # a refused label leaves no cached route behind
+    cached = _route.cache_info().currsize
+    with pytest.raises(TunnelError, match="mir9"):
+        TunnelConnection(TunnelMode.CCN_IP_CCN, down={"mir1", "mir9"})
+    assert _route.cache_info().currsize == cached
 
 
 def test_deterministic_interest_logs():
@@ -421,7 +429,7 @@ def test_pickled_modes_hash_equal_and_hit_the_same_plans():
         back = pickle.loads(pickle.dumps(mode))
         assert back is mode
         assert {mode: 1}[back] == 1
-        assert _plans(back, frozenset()) is _plans(mode, frozenset())
+        assert _route(back, frozenset()) is _route(mode, frozenset())
 
 
 def _labels(mode):
