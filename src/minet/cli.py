@@ -37,9 +37,9 @@ MODEL_CSV_HEADER = ("n", "a", "band", "t_tran", "t_comp", "t_cons",
                     "throughput")
 SIM_CSV_HEADER = ("round", "t1", "t2", "t3", "t4", "t_cons", "committed_txs")
 
-_USAGE_ERRORS = (simulate.ConfigInvalid, simulate.UnknownNode,
-                 bench.BenchError, perfmodel.ModelError, InfeasibleSpec,
-                 ParseError, registry.RegistryError, tunnel.TunnelError)
+_USAGE_ERRORS = (simulate.ConfigInvalid, bench.BenchError, perfmodel.ModelError,
+                 InfeasibleSpec, ParseError, registry.RegistryError,
+                 tunnel.TunnelError)
 
 
 def main() -> None:
@@ -375,20 +375,9 @@ def _cmd_consensus_sim(ns, out: Path) -> tuple:
           f"{s.divergences} divergences")
     if s.stalled_round is not None:
         print(f"stalled at round {s.stalled_round}: {s.stall_reason}")
-    summary = {
-        "command": "consensus-sim",
-        "config": dataclasses.asdict(config),
-        "rounds_completed": s.rounds_completed,
-        "rounds_requested": s.rounds_requested,
-        "total_virtual_seconds": s.total_virtual_seconds,
-        "mean_round_seconds": s.mean_round_seconds,
-        "mean_step_seconds": list(s.mean_step_seconds),
-        "committed_total": s.committed_total,
-        "throughput_txs_per_sec": s.throughput_txs_per_sec,
-        "divergences": s.divergences,
-        "stalled_round": s.stalled_round,
-        "stall_reason": s.stall_reason,
-    }
+    summary = {"command": "consensus-sim",
+               "config": dataclasses.asdict(config),
+               **dataclasses.asdict(s)}
     return "consensus_sim", SIM_CSV_HEADER, rows, summary, None
 
 

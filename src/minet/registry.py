@@ -114,12 +114,11 @@ class Domain:
         self.name = name
         self.parent = parent
         self.children: list[Domain] = []
-        self.supervisors = SUPERVISORS
         self.down_supervisors: set[int] = set()
         self.chain = Chain(first_leader=SUPERVISORS[0])
-        # the transaction ids committed at each height, genesis first: all
-        # that `verify_consistency` reads of the groups the chain drops
-        self.committed_ids: list[tuple[int, ...]] = [()]
+        # the one transaction id committed at each height, None for
+        # genesis: all that `verify_consistency` reads of the dropped groups
+        self.committed_ids: list[Optional[int]] = [None]
         self.offchain: dict[Identifier, RegistrationRecord] = {}
         self.fib = Hpt()
         self.cache: dict[Identifier, tuple[RegistrationRecord,
@@ -227,12 +226,12 @@ class Hierarchy:
         block = make_block(leader, [tx], prev, timestamp=height,
                            config=_ROUND_CONFIG)
         votes = [cast_validation_votes(v, [block], prev, _ROUND_CONFIG)
-                 for v in domain.supervisors
+                 for v in SUPERVISORS
                  if v not in domain.down_supervisors]
         seed = _round_seed(domain.name, height)
         try:
             header = tally_and_seal(leader, votes, [block], height, seed,
-                                    _ROUND_CONFIG, eligible=domain.supervisors)
+                                    _ROUND_CONFIG, eligible=SUPERVISORS)
         except IncompleteVotes as exc:
             raise ConsensusFailed(f"round stalled in {domain.name.text}: "
                                   f"{exc}") from exc
@@ -245,7 +244,7 @@ class Hierarchy:
         except ChainError as exc:
             raise ConsensusFailed(str(exc)) from exc
         # the body is the one block, or the round would have failed
-        domain.committed_ids.append((tx.id,))
+        domain.committed_ids.append(tx.id)
         return height
 
     def _store(self, record: RegistrationRecord) -> None:
@@ -347,7 +346,7 @@ class Hierarchy:
     def verify_consistency(self) -> list[str]:
         """Off-chain records and on-chain transactions must correspond
         one to one, read through each domain's `committed_ids`, the
-        transaction ids it kept from each group its chain appended; the
+        transaction id it kept from each group its chain appended; the
         duplicate index must mirror the stores."""
         problems = []
         seen: dict[Identifier, ContentName] = {}
@@ -359,7 +358,7 @@ class Hierarchy:
                 if record.height > domain.chain.height:
                     problems.append(f"{ident.text} height beyond chain tip")
                     continue
-                if record.tx_id not in domain.committed_ids[record.height]:
+                if record.tx_id != domain.committed_ids[record.height]:
                     problems.append(
                         f"{ident.text} transaction missing at height "
                         f"{record.height} in {domain.name.text}")

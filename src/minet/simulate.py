@@ -13,8 +13,10 @@ per round stands for every node's.  The chain keeps only its tip, and a
 round's blocks and group are dropped once it ends, so a run's memory
 does not grow with its round count.
 
-A round walks four steps, each started only once the previous one is
-complete:
+One `_Sim` per run holds the links, the chain and the constants every
+round shares (the round's `ConsensusConfig`, the node list, message
+sizes and compute delays), and plays each round in one call.  A round
+walks four steps, each started only once the previous one is complete:
 
 1. every bookkeeper packs a block and broadcasts it (ring-staggered
    slot order, so concurrent broadcasts never idle a link);
@@ -181,126 +183,19 @@ def _compute_durations_ns(model: str, n: int) -> tuple[int, int, int, int]:
     return tuple(round(s * NS) for s in steps)
 
 
-class _Round:
-    """One consensus round as four straight-line steps."""
-
-    def __init__(self, sim: "_Sim", height: int, t0: int):
-        self.sim = sim
-        self.cfg = sim.cfg
-        self.height = height
-        self.t0 = t0
-        n = self.cfg.node_count
-        self.leader = sim.chain.next_leader
-        if self.cfg.leader_in_consortium:
-            self.consortium = list(range(n))
-        else:
-            self.consortium = [x for x in range(n) if x != self.leader]
-        self.rcfg = ConsensusConfig(n_c=len(self.consortium),
-                                    max_txs=self.cfg.txs_per_block)
-        self.prev_digest = sim.chain.tip_digest
-        self.metrics: Optional[RoundMetrics] = None
-        self.end = t0
-
-    def run(self) -> str:
-        """Play the round; return why it stalled, or "" once every node
-        stored the group (then `metrics` and `end` hold the outcome)."""
-        sim, n, comp = self.sim, self.cfg.node_count, self.sim.comp_ns
-        crashed = sorted(x for x, r in sim.crash_round.items()
-                         if r <= self.height)
-        if self.leader in crashed:
-            return f"leader {self.leader} silent: header never sealed"
-        if crashed:
-            # every node is the leader or a voter, so each crash here is
-            # a lost vote
-            return (f"IncompleteVotes: leader {self.leader} holds "
-                    f"{self.rcfg.n_c - len(crashed)} of {self.rcfg.n_c} "
-                    f"vote messages (missing voters {crashed})")
-
-        # step 1: every bookkeeper packs a block and broadcasts it
-        ready = self.t0 + comp[0]
-        blocks = [self._build_block(b) for b in range(n)]
-        # (end, slot, sender) of the last block each node receives: the
-        # order in which the nodes come to hold every block
-        last = [(ready, 0, 0)] * n
-        # slot-major ring stagger: in slot j every sender pushes to the
-        # peer j positions ahead, so each downlink sees at most one
-        # transfer per slot and links never idle mid-broadcast
-        for j in range(1, n):
-            for b in range(n):
-                recv = (b + j) % n
-                end = sim.reserve(b, recv, sim.block_bytes, ready)
-                last[recv] = (end, j, b)
-        t1_end = max(last)[0]
-
-        # step 2: each voter validates every block and votes to the leader
-        votes: list[VoteMessage] = []
-        t2_end = 0
-        for voter in sorted(self.consortium, key=last.__getitem__):
-            votes.append(self._vote(voter, blocks))
-            ready = last[voter][0] + comp[1]
-            # a leader voting in its own round hands its message over
-            # locally; no link time is spent
-            if voter != self.leader:
-                ready = sim.reserve(voter, self.leader, sim.vote_bytes, ready)
-            t2_end = max(t2_end, ready)
-
-        # step 3: the leader tallies, seals and broadcasts the header
-        t_seal = t2_end + comp[2]
-        header = tally_and_seal(
-            self.leader, votes, blocks, self.height,
-            round_seed(self.cfg.seed, self.height), self.rcfg,
-            eligible=list(range(n)))
-        ring = [(self.leader + j) % n for j in range(1, n)]
-        t3_end = t_seal
-        for recv in ring:
-            t3_end = sim.reserve(self.leader, recv, sim.result_bytes, t_seal)
-
-        # step 4: every node appends the group, in header arrival order;
-        # all assemble the same group from the same header and blocks onto
-        # the same tip, so the run's one chain appends it once for all
-        group = assemble_group(header, blocks)
-        try:
-            sim.chain.append(group, self.rcfg)
-        except ChainError as exc:
-            return "; ".join(f"node {node} refused group: {exc}"
-                             for node in [self.leader] + ring)
-        self.end = t3_end + comp[3]
-        t1 = (t1_end - self.t0) / NS
-        t2 = (t2_end - t1_end) / NS
-        t3 = (t3_end - t2_end) / NS
-        t4 = (self.end - t3_end) / NS
-        self.metrics = RoundMetrics(
-            self.height, t1, t2, t3, t4, t1 + t2 + t3 + t4,
-            sum(len(b.txs) for b in group.body))
-        return ""
-
-    def _build_block(self, bookkeeper: int) -> Block:
-        k = self.cfg.txs_per_block
-        base = (self.height * self.cfg.node_count + bookkeeper) * k
-        txs = TxColumn(np.arange(base, base + k, dtype=np.int64),
-                       nominal_size=self.cfg.tx_bytes)
-        if bookkeeper in self.sim.invalid_nodes:
-            # a wrong merkle root, which every validator's recompute refuses
-            return Block(self.prev_digest, b"\xff" * 32,
-                         node_pubkey(bookkeeper), self.t0, txs)
-        return make_block(bookkeeper, txs, self.prev_digest,
-                          timestamp=self.t0, config=self.rcfg)
-
-    def _vote(self, voter: int, blocks: list[Block]) -> VoteMessage:
-        msg = cast_validation_votes(voter, blocks, self.prev_digest, self.rcfg)
-        if voter in self.sim.dissent_nodes:
-            msg = VoteMessage(voter, tuple(
-                BlockVote(v.block_hash, not v.approve, v.voter,
-                          sign_vote(v.voter, v.block_hash, not v.approve))
-                for v in msg.votes))
-        return msg
-
-
 class _Sim:
+    """One run: its links, its chain and the constants every round
+    shares; `round` plays one round."""
+
     def __init__(self, config: SimConfig):
         self.cfg = config
         n = config.node_count
         self.chain = Chain(config.first_leader)
+        self.nodes = list(range(n))
+        # n_c counts the voters, whichever node leads
+        self.rcfg = ConsensusConfig(
+            n_c=n if config.leader_in_consortium else n - 1,
+            max_txs=config.txs_per_block)
         self.up_free = [0] * n
         self.down_free = [0] * n
         self.band = int(config.band)
@@ -312,10 +207,8 @@ class _Sim:
                               if f.behavior == "dissenting_votes"}
         self.comp_ns = _compute_durations_ns(config.compute_model, n)
         sizes = perfmodel.ModelParams(
-            node_count=n,
-            voters=n if config.leader_in_consortium else n - 1,
-            txs_per_block=config.txs_per_block,
-            band=config.band)
+            node_count=n, voters=self.rcfg.n_c,
+            txs_per_block=config.txs_per_block, band=config.band)
         self.block_bytes = perfmodel.block_message_bytes(sizes)
         self.vote_bytes = perfmodel.vote_message_bytes(sizes)
         self.result_bytes = perfmodel.result_message_bytes(sizes)
@@ -329,6 +222,106 @@ class _Sim:
         self.down_free[dst] = end
         return end
 
+    def round(self, height: int, t0: int
+              ) -> tuple[str, Optional[RoundMetrics], int]:
+        """Play the round at `height` starting at `t0`; return why it
+        stalled ("" once every node stored the group), its metrics and
+        its end time (`t0` on a stall)."""
+        n, comp, rcfg, nodes = (self.cfg.node_count, self.comp_ns,
+                                self.rcfg, self.nodes)
+        leader = self.chain.next_leader
+        prev = self.chain.tip_digest
+        crashed = sorted(x for x, r in self.crash_round.items()
+                         if r <= height)
+        if leader in crashed:
+            return f"leader {leader} silent: header never sealed", None, t0
+        if crashed:
+            # every node is the leader or a voter, so each crash here is
+            # a lost vote
+            return (f"IncompleteVotes: leader {leader} holds "
+                    f"{rcfg.n_c - len(crashed)} of {rcfg.n_c} "
+                    f"vote messages (missing voters {crashed})"), None, t0
+
+        # step 1: every bookkeeper packs a block and broadcasts it
+        ready = t0 + comp[0]
+        blocks = [self._build_block(b, height, prev, t0) for b in nodes]
+        # (end, slot, sender) of the last block each node receives: the
+        # order in which the nodes come to hold every block
+        last = [(ready, 0, 0)] * n
+        # slot-major ring stagger: in slot j every sender pushes to the
+        # peer j positions ahead, so each downlink sees at most one
+        # transfer per slot and links never idle mid-broadcast
+        for j in range(1, n):
+            for b in nodes:
+                recv = (b + j) % n
+                end = self.reserve(b, recv, self.block_bytes, ready)
+                last[recv] = (end, j, b)
+        t1_end = max(last)[0]
+
+        # step 2: each voter validates every block and votes to the leader
+        voters = (nodes if self.cfg.leader_in_consortium
+                  else [x for x in nodes if x != leader])
+        votes: list[VoteMessage] = []
+        t2_end = 0
+        for voter in sorted(voters, key=last.__getitem__):
+            votes.append(self._vote(voter, blocks, prev))
+            ready = last[voter][0] + comp[1]
+            # a leader voting in its own round hands its message over
+            # locally; no link time is spent
+            if voter != leader:
+                ready = self.reserve(voter, leader, self.vote_bytes, ready)
+            t2_end = max(t2_end, ready)
+
+        # step 3: the leader tallies, seals and broadcasts the header
+        t_seal = t2_end + comp[2]
+        header = tally_and_seal(leader, votes, blocks, height,
+                                round_seed(self.cfg.seed, height), rcfg,
+                                eligible=nodes)
+        ring = [(leader + j) % n for j in range(1, n)]
+        t3_end = t_seal
+        for recv in ring:
+            t3_end = self.reserve(leader, recv, self.result_bytes, t_seal)
+
+        # step 4: every node appends the group, in header arrival order;
+        # all assemble the same group from the same header and blocks onto
+        # the same tip, so the run's one chain appends it once for all
+        group = assemble_group(header, blocks)
+        try:
+            self.chain.append(group, rcfg)
+        except ChainError as exc:
+            return "; ".join(f"node {node} refused group: {exc}"
+                             for node in [leader] + ring), None, t0
+        end = t3_end + comp[3]
+        t1 = (t1_end - t0) / NS
+        t2 = (t2_end - t1_end) / NS
+        t3 = (t3_end - t2_end) / NS
+        t4 = (end - t3_end) / NS
+        return "", RoundMetrics(
+            height, t1, t2, t3, t4, t1 + t2 + t3 + t4,
+            sum(len(b.txs) for b in group.body)), end
+
+    def _build_block(self, bookkeeper: int, height: int, prev: bytes,
+                     t0: int) -> Block:
+        k = self.cfg.txs_per_block
+        base = (height * self.cfg.node_count + bookkeeper) * k
+        txs = TxColumn(np.arange(base, base + k, dtype=np.int64),
+                       nominal_size=self.cfg.tx_bytes)
+        if bookkeeper in self.invalid_nodes:
+            # a wrong merkle root, which every validator's recompute refuses
+            return Block(prev, b"\xff" * 32, node_pubkey(bookkeeper), t0, txs)
+        return make_block(bookkeeper, txs, prev, timestamp=t0,
+                          config=self.rcfg)
+
+    def _vote(self, voter: int, blocks: list[Block],
+              prev: bytes) -> VoteMessage:
+        msg = cast_validation_votes(voter, blocks, prev, self.rcfg)
+        if voter in self.dissent_nodes:
+            msg = VoteMessage(voter, tuple(
+                BlockVote(v.block_hash, not v.approve, v.voter,
+                          sign_vote(v.voter, v.block_hash, not v.approve))
+                for v in msg.votes))
+        return msg
+
 
 def run_rounds(config: SimConfig) -> SimResult:
     sim = _Sim(config)
@@ -339,15 +332,12 @@ def run_rounds(config: SimConfig) -> SimResult:
     committed_total = 0
 
     for height in range(1, config.rounds + 1):
-        rnd = _Round(sim, height, clock)
-        stall_reason = rnd.run()
+        stall_reason, m, clock = sim.round(height, clock)
         if stall_reason:
             stalled_round = height
             break
-        m = rnd.metrics
         rounds.append(m)
         committed_total += m.committed_txs
-        clock = rnd.end
 
     total_seconds = clock / NS
     done = len(rounds)

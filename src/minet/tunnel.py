@@ -345,10 +345,8 @@ class TunnelConnection:
 
     def __init__(self, mode: TunnelMode, segment_size: int = SEGMENT_SIZE,
                  down: Iterable[str] = ()):
-        self.mode = mode
         self.nodes = CHAINS[mode]
-        self.down = frozenset(down)
-        self._route = _route(mode, self.down)
+        self._route = _route(mode, frozenset(down))
         if segment_size < 1:
             raise TunnelError(f"segment size {segment_size} is not positive")
         self.conn_id = CONN_ID

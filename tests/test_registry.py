@@ -8,6 +8,7 @@ import pytest
 
 from minet.names import ContentName, ForwardingInfo, Identifier
 from minet.registry import (
+    SUPERVISORS,
     ComplianceRejected,
     ConsensusFailed,
     Duplicate,
@@ -51,7 +52,7 @@ def test_register_commits_record_chain_and_fib():
     assert record.height == 1
     assert record.domain == cn.name
     assert cn.chain.height == 1
-    assert cn.committed_ids == [(), (record.tx_id,)]
+    assert cn.committed_ids == [None, record.tx_id]
     hit = cn.fib.lookup_lpm(ContentName.parse("/video/v1"))
     assert hit.hit and hit.forwarding.face_id == 7
 
@@ -192,7 +193,7 @@ def test_unbound_identity_and_geo_walk_the_whole_tree():
 def test_consensus_failure_leaves_no_trace():
     hier = Hierarchy.default()
     gd = hier.domain("/top/cn/gd")
-    gd.down_supervisors.add(gd.supervisors[-1])
+    gd.down_supervisors.add(SUPERVISORS[-1])
     with pytest.raises(ConsensusFailed, match="stalled"):
         hier.register(gd, content_request("/video/v1"))
     assert gd.chain.height == 0
@@ -236,15 +237,35 @@ def test_record_store_roundtrip(tmp_path):
 
 
 def test_verify_consistency():
-    hier = Hierarchy.default()
-    hier.register("/top/cn", content_request("/video/v1"))
-    hier.register("/top/us/ny", RegistrationRequest(ALICE, ALICE))
-    assert hier.verify_consistency() == []
-    cn = hier.domain("/top/cn")
     ident = Identifier.content("/video/v1")
+
+    def registered():
+        hier = Hierarchy.default()
+        hier.register("/top/cn", content_request("/video/v1"))
+        hier.register("/top/us/ny", RegistrationRequest(ALICE, ALICE))
+        return hier, hier.domain("/top/cn")
+
+    hier, cn = registered()
+    assert hier.verify_consistency() == []
     cn.offchain[ident] = dataclasses.replace(cn.offchain[ident], tx_id=12345)
     problems = hier.verify_consistency()
     assert any("transaction missing" in p for p in problems)
+
+    hier, cn = registered()
+    cn.offchain[ident] = dataclasses.replace(cn.offchain[ident],
+                                             height=cn.chain.height + 1)
+    assert hier.verify_consistency() == [
+        "content:/video/v1 height beyond chain tip"]
+
+    hier, cn = registered()
+    hier.domain("/top/us/ny").offchain[ident] = cn.offchain[ident]
+    problems = hier.verify_consistency()
+    assert "content:/video/v1 committed twice" in problems
+
+    hier, cn = registered()
+    hier.committed.pop(ident)
+    assert hier.verify_consistency() == [
+        "duplicate index out of sync with stores"]
 
 
 @pytest.mark.parametrize("kind", ["identity", "content"])
