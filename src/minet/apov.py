@@ -5,7 +5,7 @@ pool and publishes it; every consortium node votes on every block and
 sends its vote message to the round leader; the leader tallies, seals a
 block group whose body holds the majority-approved blocks, draws the
 next leader, and publishes the sealed header; everyone validates and
-stores.  Bookkeepers are elected by ranked confidence votes.
+stores.
 
 Canonical serialization is length-prefixed fields in the order the
 dataclasses declare them, big-endian integers throughout; digests are
@@ -27,7 +27,7 @@ import hmac as hmac_mod
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class TooManyTransactions(ConsensusError):
 
 
 class IncompleteVotes(ConsensusError):
-    pass
-
-
-class NotEnoughCandidates(ConsensusError):
     pass
 
 
@@ -153,12 +149,6 @@ class BlockVote:
 class VoteMessage:
     voter: int
     votes: tuple[BlockVote, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ConfidenceVote:
-    voter: int
-    candidate: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,19 +281,28 @@ def _header_parts(header: BlockGroupHeader) -> list[bytes]:
     return parts
 
 
-def encode_block_group(group: BlockGroup) -> bytes:
-    """The framed header, the body count and each framed body block,
-    joined once, so the header is never copied into a frame of its own."""
+def _group_frames(group: BlockGroup) -> Iterator[bytes]:
+    """The framed header, the body count and each framed body block.
+    The header's parts are dropped before the body is encoded, and each
+    body block is encoded only when its frame is reached."""
     head = _header_parts(group.header)
-    parts = [_pack_I(sum(map(len, head))), *head, _pack_I(len(group.body))]
+    yield _pack_I(sum(map(len, head)))
+    yield from head
+    del head
+    yield _pack_I(len(group.body))
     for b in group.body:
         encoded = encode_block(b)
-        parts += (_pack_I(len(encoded)), encoded)
-    return b"".join(parts)
+        yield _pack_I(len(encoded))
+        yield encoded
 
 
 def group_digest(group: BlockGroup) -> bytes:
-    return hashlib.sha256(encode_block_group(group)).digest()
+    """sha256 over the group's canonical encoding, hashed frame by frame,
+    so the whole encoded group is never held at once."""
+    h = hashlib.sha256()
+    for frame in _group_frames(group):
+        h.update(frame)
+    return h.digest()
 
 
 # -- round operations -----------------------------------------------------------
@@ -429,20 +428,6 @@ def validate_block_group(group: BlockGroup, config: ConsensusConfig,
         if not _block_content_ok(block):
             problems.append("body block content corrupt")
     return problems
-
-
-def elect_bookkeepers(candidates: Sequence[int],
-                      votes: Sequence[ConfidenceVote], n_b: int) -> list[int]:
-    """Top n_b candidates by distinct confidence votes, ties to lower id."""
-    if len(set(candidates)) < n_b:
-        raise NotEnoughCandidates(f"{len(set(candidates))} < {n_b}")
-    allowed = set(candidates)
-    counted = {(v.voter, v.candidate) for v in votes if v.candidate in allowed}
-    scores = {c: 0 for c in candidates}
-    for _, cand in counted:
-        scores[cand] += 1
-    ranked = sorted(scores, key=lambda c: (-scores[c], c))
-    return ranked[:n_b]
 
 
 # -- chains ------------------------------------------------------------------

@@ -483,11 +483,13 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
 def _cmd_registry_demo(ns, out: Path) -> tuple:
     if ns.identifiers < 4:
         raise registry.RegistryError("need at least four identifiers")
-    hier = registry.Hierarchy.default(store_path=out / "registry_records.jsonl")
-    (out / "registry_records.jsonl").write_text("")
+    store = out / "registry_records.jsonl"
+    hier = registry.Hierarchy.default(store_path=store)
+    store.write_text("")
     domains = sorted(hier.domains(), key=lambda d: d.name.text)
     owner = Identifier.identity("operator")
     registered: list[tuple[registry.Domain, Identifier]] = []
+    records: list[registry.RegistrationRecord] = []
     kind_counts = {"content": 0, "id": 0, "geo": 0, "ip": 0}
     for i in range(ns.identifiers):
         domain = domains[i % len(domains)]
@@ -501,8 +503,8 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
         else:
             ident = Identifier.geo(f"zone/{i}")
         forwarding = ForwardingInfo(face_id=i % 64) if style < 2 else None
-        hier.register(domain, registry.RegistrationRequest(
-            ident, owner, forwarding=forwarding))
+        records.append(hier.register(domain, registry.RegistrationRequest(
+            ident, owner, forwarding=forwarding)))
         kind_counts[ident.kind.value] += 1
         registered.append((domain, ident))
 
@@ -510,8 +512,8 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
     bind_domain, bind_target = next(
         (d, i) for d, i in registered if i.kind.value == "content")
     bound_ip = Identifier.ip("10.0.0.9")
-    hier.register(bind_domain, registry.RegistrationRequest(
-        bound_ip, owner, binds_to=bind_target.value))
+    records.append(hier.register(bind_domain, registry.RegistrationRequest(
+        bound_ip, owner, binds_to=bind_target.value)))
     kind_counts["ip"] += 1
 
     duplicates_rejected = 0
@@ -535,7 +537,7 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
                      for res in swept)
 
     problems = hier.verify_consistency()
-    print(f"registered {len(registered) + 1} identifiers across "
+    print(f"registered {len(records)} identifiers across "
           f"{len(domains)} domains "
           f"(content {kind_counts['content']}, id {kind_counts['id']}, "
           f"geo {kind_counts['geo']}, ip {kind_counts['ip']})")
@@ -557,6 +559,7 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
         "record_store": "registry_records.jsonl",
     }
     failed = (problems or unresolved
+              or registry.read_record_store(store) != records
               or nf.outcome is not registry.ResolutionOutcome.NOT_FOUND
               or px.outcome is not registry.ResolutionOutcome.PROXIED_TO_IP
               or duplicates_rejected != 1)

@@ -7,7 +7,6 @@ from minet.hpt.fib import (
     FibError,
     UnknownContent,
     DuplicateBinding,
-    LoadError,
 )
 from minet.hpt.packed import PackedFib, pack_fib, pack_queries
 
@@ -18,7 +17,6 @@ __all__ = [
     "FibError",
     "UnknownContent",
     "DuplicateBinding",
-    "LoadError",
     "PackedFib",
     "pack_fib",
     "pack_queries",

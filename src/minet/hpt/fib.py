@@ -41,10 +41,6 @@ class DuplicateBinding(FibError):
     """Alternate identifier already bound."""
 
 
-class LoadError(FibError):
-    """Dump file disagrees with the reconstructed table."""
-
-
 class EntryState(IntEnum):
     REAL = 0
     VIRTUAL = 1
@@ -56,7 +52,6 @@ class EntryState(IntEnum):
 _CONTENT = IdKind.CONTENT
 
 _STATE_TOKEN = ("real", "virtual", "semi-virtual")   # indexed by state
-_TOKEN_STATE = {token: EntryState(i) for i, token in enumerate(_STATE_TOKEN)}
 
 
 @dataclass(frozen=True)
@@ -285,7 +280,7 @@ class Hpt:
                     problems.append(f"{text}: binding {alt.text} not in reverse map")
         return problems
 
-    # -- persistence -------------------------------------------------------
+    # -- text dump ---------------------------------------------------------
 
     def dump(self) -> str:
         """One line per entry: name, state, face or '-', binding list."""
@@ -297,45 +292,3 @@ class Hpt:
             binds = ",".join(alt.text for alt in self.bindings.get(nid, ()))
             lines.append(f"{text}\t{_STATE_TOKEN[self.state(nid)]}\t{face}\t{binds}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def load(cls, text: str) -> "Hpt":
-        """Rebuild from a dump by replaying real entries, then verify that the
-        reconstructed filler states match the dumped ones."""
-        rows: list[tuple[str, EntryState, str, str]] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LoadError(f"line {lineno}: expected 4 fields")
-            name_text, state_tok, face, binds = parts
-            if state_tok not in _TOKEN_STATE:
-                raise LoadError(f"line {lineno}: unknown state {state_tok!r}")
-            rows.append((name_text, _TOKEN_STATE[state_tok], face, binds))
-        fib = cls()
-        for name_text, state, face, _ in rows:
-            if state == EntryState.REAL:
-                if face == "-":
-                    raise LoadError(f"{name_text}: real entry without face")
-                fib.insert(ContentName.parse(name_text), ForwardingInfo(int(face)))
-        for name_text, _, _, binds in rows:
-            if binds:
-                for alt_text in binds.split(","):
-                    fib.bind_identifier(ContentName.parse(name_text),
-                                        Identifier.parse(alt_text))
-        mismatches = []
-        if len(fib.index) != len(rows):
-            mismatches.append(
-                f"entry count {len(fib.index)} != dumped {len(rows)}")
-        for name_text, state, _, _ in rows:
-            nid = fib.index.get(name_text)
-            if nid is None:
-                mismatches.append(f"{name_text}: missing after replay")
-            elif fib.state(nid) != state:
-                mismatches.append(
-                    f"{name_text}: state {_STATE_TOKEN[fib.state(nid)]} != "
-                    f"dumped {_STATE_TOKEN[state]}")
-        if mismatches:
-            raise LoadError("; ".join(mismatches[:20]))
-        return fib

@@ -141,7 +141,6 @@ class RoundMetrics:
     t4: float
     t_cons: float
     committed_txs: int
-    forked: bool = False        # one chain per run: never True
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,19 @@ from minet.apov import (
     BlockVote,
     Chain,
     ChainError,
-    ConfidenceVote,
     ConsensusConfig,
     GENESIS_HASH,
     IncompleteVotes,
-    NotEnoughCandidates,
     TooManyTransactions,
     Transaction,
     TxColumn,
     VoteMessage,
+    _group_frames,
     assemble_group,
     block_digest,
     block_is_valid,
     cast_validation_votes,
-    elect_bookkeepers,
     encode_block,
-    encode_block_group,
     genesis_group,
     group_digest,
     make_block,
@@ -217,8 +214,8 @@ def test_seal_deterministic_and_order_invariant():
     assert len(headers) == 1
     h1 = tally_and_seal(0, votes, blocks, 1, 42, CFG, [0, 1, 2])
     h2 = tally_and_seal(0, votes, blocks, 1, 42, CFG, [0, 1, 2])
-    assert encode_block_group(BlockGroup(h1, tuple(blocks))) == \
-        encode_block_group(BlockGroup(h2, tuple(blocks)))
+    assert b"".join(_group_frames(BlockGroup(h1, tuple(blocks)))) == \
+        b"".join(_group_frames(BlockGroup(h2, tuple(blocks))))
     h3 = tally_and_seal(0, votes, blocks, 1, 43, CFG, [0, 1, 2])
     assert h3.seed == 43 and h1.seed == 42
 
@@ -375,30 +372,6 @@ def test_two_identical_chains_stay_bit_identical():
         b.append(assemble_group(hb, blocks_b), CFG)
         assert a.tip_digest == b.tip_digest
         assert (a.height, a.next_leader) == (b.height, b.next_leader)
-
-
-def test_election_ranking_and_errors():
-    votes = [ConfidenceVote(voter, cand)
-             for voter, cands in {10: [1, 2, 3], 11: [2, 3], 12: [3], 13: [3, 9]}.items()
-             for cand in cands]
-    # scores: 3 -> 4, 2 -> 2, 1 -> 1, rest 0; candidate 9 not in roster
-    ranked = elect_bookkeepers([1, 2, 3, 4, 5], votes, 4)
-    assert ranked == [3, 2, 1, 4]
-    # duplicate (voter, candidate) pairs count once
-    ranked2 = elect_bookkeepers([1, 2], votes + [ConfidenceVote(10, 1)] * 5, 2)
-    assert ranked2 == [1, 2] or ranked2 == [2, 1]
-    assert set(ranked2) == {1, 2}
-    with pytest.raises(NotEnoughCandidates):
-        elect_bookkeepers([1, 2], votes, 3)
-
-
-def test_election_input_order_invariance():
-    votes = [ConfidenceVote(v, c) for v in range(6) for c in ((1, 4) if v < 4 else (2,))]
-    base = elect_bookkeepers([1, 2, 3, 4], votes, 3)
-    for perm in itertools.permutations(votes[:4]):
-        assert elect_bookkeepers([1, 2, 3, 4], list(perm) + votes[4:], 3) == base
-    # tie between 1 and 4 breaks toward the lower id
-    assert base == [1, 4, 2]
 
 
 def test_genesis_shape():

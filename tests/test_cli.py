@@ -413,3 +413,46 @@ def test_registry_inconsistency_exits_1(tmp_path, capsys, monkeypatch):
         "registry invariants violated")
     _, sidecar = read_report(tmp_path, "registry_demo")
     assert sidecar["consistency_problems"] == ["injected problem"]
+
+
+def test_registry_store_read_back_mismatch_exits_1(tmp_path, capsys,
+                                                    monkeypatch):
+    # the store is written with every tx id one off, so the records read
+    # back from it differ from those the registrations returned
+    to_dict = registry.record_to_dict
+    monkeypatch.setattr(registry, "record_to_dict", lambda record: {
+        **to_dict(record), "tx_id": record.tx_id + 1})
+    _assert_failed(tmp_path, capsys, [
+        "registry-demo", "--identifiers", "8"], "registry_demo",
+        "registry invariants violated")
+    _, sidecar = read_report(tmp_path, "registry_demo")
+    assert sidecar["consistency_problems"] == []
+
+
+HASH_SEED_RUNS = (["registry-demo"],
+                  ["consensus-sim", "--nodes", "6", "--rounds", "3"],
+                  ["tunnel-demo"])
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """The same seed writes the same bytes under any PYTHONHASHSEED, so no
+    report follows the iteration order of a set or dict of strings."""
+    src = str(Path(minet.__file__).resolve().parents[1])
+    script = ("import sys\n"
+              "from minet.cli import run_command\n"
+              f"for i, argv in enumerate({HASH_SEED_RUNS!r}):\n"
+              "    code = run_command(argv + ['--out', f'{sys.argv[1]}/{i}'])\n"
+              "    assert code == 0, argv\n")
+    outs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                       check=True, capture_output=True, timeout=120)
+        outs.append({p.relative_to(out): p.read_bytes()
+                     for p in sorted(out.rglob("*"))
+                     if p.suffix in (".csv", ".jsonl")})
+    assert len(outs[0]) == len(HASH_SEED_RUNS) + 1
+    assert outs[0] == outs[1]

@@ -9,7 +9,6 @@ from minet.hpt import (
     DuplicateBinding,
     EntryState,
     Hpt,
-    LoadError,
     UnknownContent,
     kernels,
     pack_fib,
@@ -307,26 +306,6 @@ def test_translate_returns_none_without_a_binding():
     fib.bind_identifier(N("/cdn/movie"), geo)
     assert fib.translate(geo) == N("/cdn/movie")
     assert fib.verify_integrity() == []
-
-
-def test_dump_load_round_trip():
-    fib = Hpt()
-    fib.insert(N("/a/b/c"), F(1))
-    fib.insert(N("/a"), F(2))
-    fib.insert(N("/z/w"), F(3))
-    fib.bind_identifier(N("/a"), Identifier.geo("gd"))
-    text = fib.dump()
-    clone = Hpt.load(text)
-    assert clone.dump() == text
-    assert clone.translate(Identifier.geo("gd")) == N("/a")
-
-
-def test_load_rejects_mismatched_states():
-    fib = Hpt()
-    fib.insert(N("/a/b"), F(1))
-    bad = fib.dump().replace("virtual", "semi-virtual")
-    with pytest.raises(LoadError):
-        Hpt.load(bad)
 
 
 def _three_children():

@@ -8,6 +8,7 @@ import pytest
 
 from minet.names import ContentName, ForwardingInfo, Identifier
 from minet.registry import (
+    CACHE_LIMIT,
     SUPERVISORS,
     ComplianceRejected,
     ConsensusFailed,
@@ -219,6 +220,23 @@ def test_cache_is_pass_through():
     # the querying domain's own table stays untouched
     assert not hier.domain("/top/us").fib.lookup_lpm(
         ContentName.parse("/top/cn/gd/video/v1")).hit
+
+
+def test_cache_evicts_its_oldest_entry_at_the_limit():
+    idents = [Identifier.identity(f"user{i}") for i in range(CACHE_LIMIT + 2)]
+    hier = Hierarchy.default()
+    for ident in idents:
+        hier.register("/top/cn/gd", RegistrationRequest(ident, ALICE))
+    us = hier.domain("/top/us")
+    for ident in idents:
+        assert hier.resolve(us, ident).message != "served from cache"
+    assert len(us.cache) == CACHE_LIMIT
+    # the first two resolved were evicted first, in the order they came
+    assert list(us.cache) == idents[2:]
+    assert hier.resolve(us, idents[2]).message == "served from cache"
+    # a hit does not move an entry, so caching the first again evicts it
+    assert hier.resolve(us, idents[0]).message != "served from cache"
+    assert len(us.cache) == CACHE_LIMIT and idents[2] not in us.cache
 
 
 def test_record_store_roundtrip(tmp_path):
