@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, perfmodel, registry, simulate, tunnel
+from . import bench, obs, perfmodel, registry, simulate, tunnel
 from .names import ForwardingInfo, Identifier, ParseError
 from .workload import InfeasibleSpec
 
@@ -257,7 +257,8 @@ def _write_report(out: Path, stem: str, header, rows, summary: dict) -> None:
         writer.writerows(rows)
     json_path = out / f"{stem}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({**summary, "csv": csv_path.name, "note": SCALING_NOTE},
+        json.dump({**summary, "csv": csv_path.name, "note": SCALING_NOTE,
+                   "env": obs.environment()},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"report: {csv_path} (+ {json_path.name})")
@@ -546,6 +547,17 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
           f"{duplicates_rejected}, not-found hops: {len(nf.hops)}, "
           f"ip proxy: {px.outcome.value}")
     print(f"consistency problems: {len(problems)}")
+    checks = (
+        ("consistency problems found", bool(problems)),
+        ("registered identifiers unresolved", unresolved > 0),
+        ("store read back differs",
+         registry.read_record_store(store) != records),
+        ("unknown name not reported not-found",
+         nf.outcome is not registry.ResolutionOutcome.NOT_FOUND),
+        ("unknown IP not handed to the IP proxy",
+         px.outcome is not registry.ResolutionOutcome.PROXIED_TO_IP),
+        ("duplicate not rejected exactly once", duplicates_rejected != 1))
+    failed_checks = [name for name, failed in checks if failed]
     summary = {
         "command": "registry-demo",
         "identifiers": ns.identifiers,
@@ -556,17 +568,14 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
         "not_found_outcome": nf.outcome.value,
         "ip_proxy_outcome": px.outcome.value,
         "consistency_problems": problems,
+        "failed_checks": failed_checks,
         "record_store": "registry_records.jsonl",
     }
-    failed = (problems or unresolved
-              or registry.read_record_store(store) != records
-              or nf.outcome is not registry.ResolutionOutcome.NOT_FOUND
-              or px.outcome is not registry.ResolutionOutcome.PROXIED_TO_IP
-              or duplicates_rejected != 1)
     return ("registry_demo",
             ("origin", "identifier", "outcome", "hop_count", "hops"),
             rows, summary,
-            "registry invariants violated" if failed else None)
+            f"registry invariants violated: {', '.join(failed_checks)}"
+            if failed_checks else None)
 
 
 if __name__ == "__main__":

@@ -62,6 +62,12 @@ class LookupResult:
     probes: int
 
 
+# Every miss `lookup_lpm` can return, by probe count: a binary search over
+# L prefix lengths makes at most L.bit_length() probes, and L < 2**64.
+_MISSES = tuple(LookupResult(False, None, None, probes)
+                for probes in range(65))
+
+
 def _ends(components: tuple[str, ...]) -> list[int]:
     """Where each prefix of ``/c1/.../cN`` ends in its text, shortest
     first, so a prefix is a slice of the text rather than a new join."""
@@ -199,7 +205,7 @@ class Hpt:
             last = self.parent[last]
             last_len -= 1
         if last == -1:
-            return LookupResult(False, None, None, probes)
+            return _MISSES[probes]
         return LookupResult(True, name.prefix(last_len), forwarding[last],
                             probes)
 

@@ -4,6 +4,16 @@ Canonical text forms carry a scheme prefix so files and CLI flags stay
 unambiguous: ``content:/a/b``, ``id:alice``, ``geo:cn.gd.sz``,
 ``ip:10.0.0.1``.  Content-name components are opaque text that may not
 be empty or contain ``/``; parse and format round-trip exactly.
+
+The value types are frozen dataclasses with hand-written ``__slots__``
+(``slots=True`` rebuilds the class, and the rebuilt class answers an
+assignment to a non-field name with ``TypeError``, not
+``FrozenInstanceError``).  Each pickles as a call of its constructor on
+its fields, since pickle's default path would set the slots through the
+frozen ``__setattr__``.  An `Identifier` hashes once: the first
+``hash()`` keeps the result in a slot that is not a field, and as the
+pickle carries only the fields, an unpickled identifier hashes afresh
+under its own process's hash seed.
 """
 
 from __future__ import annotations
@@ -20,10 +30,11 @@ class ParseError(ValueError):
     """Malformed identifier or content-name text."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ContentName:
     """Hierarchical name ``/c1/c2/.../cN``, N >= 1."""
 
+    __slots__ = ("components",)
     components: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -75,6 +86,9 @@ class ContentName:
     def __str__(self) -> str:
         return self.text
 
+    def __reduce__(self):
+        return ContentName, (self.components,)
+
 
 class IdKind(Enum):
     IDENTITY = "id"
@@ -94,12 +108,26 @@ _IDENTITY, _CONTENT, _GEO, _IP = (IdKind.IDENTITY, IdKind.CONTENT,
 _SCHEME = {kind: kind.value for kind in IdKind}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Identifier:
     """One of the four identifier families, tagged by kind."""
 
+    __slots__ = ("kind", "value", "_hash")    # `_hash` is set by __hash__
     kind: IdKind
     value: Union[str, ContentName, IpAddress]
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash((self.kind, self.value))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+    # the fields only: a hash kept under one hash seed is wrong under another
+    def __reduce__(self):
+        return Identifier, (self.kind, self.value)
 
     @classmethod
     def identity(cls, name: str) -> "Identifier":
@@ -154,13 +182,22 @@ class Identifier:
         return self.text
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ForwardingInfo:
     """Next-hop choice attached to a real forwarding entry."""
 
+    __slots__ = ("face_id", "metric")
     face_id: int
-    metric: int = 0
+    metric: int
 
     def __post_init__(self) -> None:
         if self.face_id < 0:
             raise ValueError("face_id must be non-negative")
+
+    def __reduce__(self):
+        return ForwardingInfo, (self.face_id, self.metric)
+
+
+# a slot cannot share its name with a class-level default, so the default
+# metric of 0 sits on the generated __init__
+ForwardingInfo.__init__.__defaults__ = (0,)

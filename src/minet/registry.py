@@ -17,7 +17,9 @@ Resolution walks the tree:
 2. upward: each ancestor in turn, up to the top-level domain;
 3. downward: directed descent when the identifier carries a domain path
    as its name prefix, otherwise breadth-first over the remaining
-   domains; a visited set guarantees no domain is checked twice.
+   domains; a visited set of the domains themselves (domain names are
+   unique in a hierarchy, so identity is the same test and hashes in C)
+   guarantees no domain is checked twice.
 
 The hop list always starts at the querying domain.  Committed records
 are replicated synchronously into a hierarchy-wide duplicate index
@@ -271,11 +273,11 @@ class Hierarchy:
         cached = origin.cache.get(ident)
         if cached is not None:
             return _resolved(cached, hops, "served from cache")
-        visited = {origin.name}
+        visited = {origin}
         node = origin.parent
         while node is not None:
             hops.append(node.name)
-            visited.add(node.name)
+            visited.add(node)
             found = self._check_domain(node, ident)
             if found is not None:
                 self._cache(origin, found)
@@ -283,7 +285,7 @@ class Hierarchy:
             node = node.parent
         for domain in self._descent_order(ident, visited):
             hops.append(domain.name)
-            visited.add(domain.name)
+            visited.add(domain)
             found = self._check_domain(domain, ident)
             if found is not None:
                 self._cache(origin, found)
@@ -294,7 +296,7 @@ class Hierarchy:
                     f"{len(hops)} domains")
 
     def _descent_order(self, ident: Identifier,
-                       visited: set[ContentName]) -> Iterable[Domain]:
+                       visited: set[Domain]) -> Iterable[Domain]:
         """Directed descent along a carried domain path first, then
         breadth-first over whatever remains (exhaustive, no revisits)."""
         if ident.kind is _CONTENT:
@@ -306,14 +308,14 @@ class Hierarchy:
                         break
                 else:
                     break
-                if child.name not in visited:
+                if child not in visited:
                     yield child
                 node = child
         queue = deque([self.root])
         while queue:
             d = queue.popleft()
             queue.extend(d.children)
-            if d.name not in visited:
+            if d not in visited:
                 yield d
 
     def _check_domain(self, domain: Domain, ident: Identifier

@@ -3,15 +3,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minet
-from minet import bench, perfmodel, registry, tunnel
+from minet import bench, cli, perfmodel, registry, tunnel
 from minet.cli import run_command
+from minet.hpt import kernels
 from minet.workload import WorkloadSpec, generate_entries
 
 
@@ -323,6 +326,7 @@ def test_registry_demo(tmp_path, capsys):
     assert outcomes[-2] == "not-found"
     assert outcomes[-1] == "proxied-to-ip"
     assert sidecar["consistency_problems"] == []
+    assert sidecar["failed_checks"] == []
     assert sidecar["duplicates_rejected"] == 1
     assert (tmp_path / "registry_records.jsonl").exists()
     assert "consistency problems: 0" in capsys.readouterr().out
@@ -410,9 +414,10 @@ def test_registry_inconsistency_exits_1(tmp_path, capsys, monkeypatch):
                         lambda self: ["injected problem"])
     _assert_failed(tmp_path, capsys, [
         "registry-demo", "--identifiers", "8"], "registry_demo",
-        "registry invariants violated")
+        "registry invariants violated: consistency problems found")
     _, sidecar = read_report(tmp_path, "registry_demo")
     assert sidecar["consistency_problems"] == ["injected problem"]
+    assert sidecar["failed_checks"] == ["consistency problems found"]
 
 
 def test_registry_store_read_back_mismatch_exits_1(tmp_path, capsys,
@@ -424,9 +429,43 @@ def test_registry_store_read_back_mismatch_exits_1(tmp_path, capsys,
         **to_dict(record), "tx_id": record.tx_id + 1})
     _assert_failed(tmp_path, capsys, [
         "registry-demo", "--identifiers", "8"], "registry_demo",
-        "registry invariants violated")
+        "registry invariants violated: store read back differs")
     _, sidecar = read_report(tmp_path, "registry_demo")
     assert sidecar["consistency_problems"] == []
+    assert sidecar["failed_checks"] == ["store read back differs"]
+
+
+ENV_RUNS = (["fib-bench", "--entries", "2000", "--queries", "200",
+             "--query-lens", "6"],
+            ["fib-check", "--ops", "200", "--lookups", "100",
+             "--check-every", "100"],
+            ["consensus-sim", "--nodes", "4", "--rounds", "2",
+             "--txs-per-block", "50"],
+            ["model-eval"],
+            ["model-sweep", "--nodes", "3:4"],
+            ["tunnel-demo", "--payload-bytes", "100"],
+            ["registry-demo", "--identifiers", "8"])
+
+
+def test_every_sidecar_records_its_environment(tmp_path, capsys):
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    assert [argv[0] for argv in ENV_RUNS] == list(commands)
+    for argv in ENV_RUNS:
+        out = tmp_path / argv[0]
+        assert run_command(argv + ["--out", str(out)]) == 0, argv
+        sidecar, = (json.loads(p.read_text()) for p in out.glob("*.json"))
+        env = sidecar["env"]
+        assert env == {"python": platform.python_version(),
+                       "numpy": np.__version__,
+                       "kernel_backend": kernels.BACKEND,
+                       "numba_importable": env["numba_importable"],
+                       "cpu_count": os.cpu_count(),
+                       "git": env["git"]}, argv
+        assert isinstance(env["numba_importable"], bool)
+        rev, dirty = env["git"]["rev"], env["git"]["dirty"]
+        assert ((rev, dirty) == (None, None)
+                or (len(rev) == 40 and isinstance(dirty, bool))), argv
+    capsys.readouterr()
 
 
 HASH_SEED_RUNS = (["registry-demo"],

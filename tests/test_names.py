@@ -1,10 +1,15 @@
 import dataclasses
 import ipaddress
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import minet
 from minet.names import (
     ContentName,
     ForwardingInfo,
@@ -133,9 +138,13 @@ def test_value_types_are_slotted_and_frozen(value):
     cls = type(value)
     fields = [f.name for f in dataclasses.fields(value)]
     assert not hasattr(value, "__dict__")
-    assert cls.__slots__ == tuple(fields)
+    # an identifier keeps its hash in one slot that is not a field
+    assert cls.__slots__ == tuple(fields) + (
+        ("_hash",) if cls is Identifier else ())
     with pytest.raises(AttributeError):      # no slot, no dict to fall back on
         object.__setattr__(value, "extra", None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = 1
     for name in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, None)
@@ -145,3 +154,36 @@ def test_value_types_are_slotted_and_frozen(value):
         assert other is not value
         assert other == value and hash(other) == hash(value)
         assert {value: 1}[other] == 1
+
+
+PICKLE_TEXTS = ["content:/a/b/c", "id:alice", "geo:cn.gd.sz", "ip:10.0.0.1"]
+
+
+def test_unpickled_identifiers_hash_under_their_own_seed(tmp_path):
+    """An identifier hashed and pickled under one PYTHONHASHSEED is found
+    by an equal one under another: the kept hash is not pickled."""
+    src = str(Path(minet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    blob = tmp_path / "ids.pickle"
+    dump = ("import pickle, sys\n"
+            "from minet.names import Identifier\n"
+            f"ids = [Identifier.parse(t) for t in {PICKLE_TEXTS!r}]\n"
+            "hashes = [hash(i) for i in ids]\n"
+            "with open(sys.argv[1], 'wb') as fh:\n"
+            "    pickle.dump((ids, hashes), fh)\n")
+    load = ("import pickle, sys\n"
+            "from minet.names import Identifier\n"
+            "with open(sys.argv[1], 'rb') as fh:\n"
+            "    ids, hashes = pickle.load(fh)\n"
+            f"table = {{Identifier.parse(t): t for t in {PICKLE_TEXTS!r}}}\n"
+            "assert [hash(i) for i in ids] != hashes, \\\n"
+            "    'an unpickled id kept its old hash'\n"
+            "print([table.get(i) for i in ids])\n")
+    for hash_seed, script in (("0", dump), ("12345", load)):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(blob)],
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{PICKLE_TEXTS!r}\n"

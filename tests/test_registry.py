@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import random
 import struct
 import tracemalloc
 
@@ -333,6 +334,69 @@ def test_registry_chain_bytes_are_pinned():
                  + struct.pack(">q", chain.next_leader))
     assert h.hexdigest() == ("82d5d6409ef2d14d5e0f4a5f85abf490"
                              "1f277ba09eb6f22e00ac50afc2c17886")
+
+
+def test_resolve_walk_is_pinned():
+    # every kind, bound ids, misses, IP hand-offs, and two origins whose
+    # caches both pass CACHE_LIMIT and evict: one digest over every answer
+    rng = random.Random(27)
+    hier = Hierarchy.default()
+    domains = sorted(hier.domains(), key=lambda d: d.name.text)
+    idents = []
+    for i in range(1500):
+        domain = domains[rng.randrange(len(domains))]
+        kind = i % 5
+        binds_to = None
+        if kind == 0:
+            ident = Identifier.content(f"{domain.name.text}/app/item{i}")
+        elif kind == 1:
+            ident = Identifier.content(f"/library/shelf{i}/vol{i % 7}")
+        elif kind == 2:
+            ident = Identifier.identity(f"user{i}")
+        else:
+            # beside the domain-path entry made just above: every IP id
+            # and half the geo ids are bound to it
+            domain, target = idents[-kind]
+            if kind == 3:
+                ident = Identifier.geo(f"zone/{i}")
+                if rng.random() < 0.5:
+                    binds_to = target.value
+            else:
+                ident = Identifier.ip(f"10.{i // 256}.{i % 256}.1")
+                binds_to = target.value
+        forwarding = ForwardingInfo(face_id=i % 61) if kind < 2 else None
+        hier.register(domain, RegistrationRequest(
+            ident, ALICE, forwarding=forwarding, binds_to=binds_to))
+        idents.append((domain, ident))
+    unknown = [Identifier.content("/library/shelf9999/vol1"),
+               Identifier.content("/top/cn/gd/app/none"),
+               Identifier.identity("mallory"), Identifier.geo("zone/x"),
+               Identifier.ip("203.0.113.9")]
+    origins = [hier.domain("/top/us/ca"), hier.domain("/top/eu")]
+    h = hashlib.sha256()
+    outcomes = []
+    for step in range(1600):
+        origin = origins[step % 2]
+        draw = rng.random()
+        if draw < 0.05:
+            ident = unknown[rng.randrange(len(unknown))]
+        elif draw < 0.45:        # a hot set, so some answers come from cache
+            ident = idents[rng.randrange(40)][1]
+        else:
+            ident = idents[rng.randrange(len(idents))][1]
+        res = hier.resolve(origin, ident)
+        outcomes.append(res.outcome)
+        line = "|".join([
+            res.outcome.value, ",".join(hop.text for hop in res.hops),
+            res.message,
+            str(res.record.tx_id if res.record is not None else -1),
+            str(res.forwarding.face_id if res.forwarding is not None
+                else -1)])
+        h.update(line.encode() + b"\n")
+    assert all(len(origin.cache) == CACHE_LIMIT for origin in origins)
+    assert set(outcomes) == set(ResolutionOutcome)
+    assert h.hexdigest() == ("2bf588dda5def6b29c4ba3bb4e8fd0ee"
+                             "054e6ae7088e0de64424ea86864435a5")
 
 
 def test_request_and_resolution_json_schema():

@@ -49,3 +49,17 @@ def test_only_kept_surfaces_lack_a_src_caller():
                 if not name.startswith("__") and not attributes[name]
                 and not (name in functions and names[name])}
     assert uncalled == set(KEPT)
+
+
+def test_src_does_not_import_perfbench():
+    # the benchmark imports the package, never the other way round
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "perfbench"
+                           for m in modules), path
