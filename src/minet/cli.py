@@ -169,6 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--down", action="append", default=[], metavar="LABEL",
                    help="mark a chain node as down to demonstrate the "
                         "timeout path (single mode only)")
+    p.add_argument("--interest-log", metavar="FILE",
+                   help="write every Interest each mode's connection sent, "
+                        "in mode order, and check that it reads back equal")
     p.set_defaults(handler=_cmd_tunnel_demo)
 
     p = sub.add_parser("registry-demo",
@@ -444,10 +447,12 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
     rows = []
     reports = []
     timeout_msg = None
+    interests = None if ns.interest_log is None else []
     for mode in modes:
         try:
             rep = tunnel.run_scenario(mode, payload, down_nodes=ns.down,
-                                      segment_size=ns.segment_size)
+                                      segment_size=ns.segment_size,
+                                      log=interests)
         except tunnel.Timeout as exc:
             timeout_msg = str(exc)
             print(f"{mode.value}: timeout, connection folded to CLOSED "
@@ -464,6 +469,19 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
                      rep.establish_exchanges, rep.terminate_exchanges,
                      rep.interests_total, rep.matched))
     matched = all(r.matched for r in reports)
+    failures = [] if ns.down or matched else ["payload digest mismatch"]
+    log_summary = None
+    if interests is not None:
+        try:
+            tunnel.write_interest_log(ns.interest_log, interests)
+        except OSError as exc:
+            raise ParseError(f"--interest-log {ns.interest_log}: "
+                             f"{exc.strerror}") from None
+        if tunnel.read_interest_log(ns.interest_log) != interests:
+            failures.append("interest log read back differs")
+        log_summary = {"path": ns.interest_log, "interests": len(interests)}
+        print(f"interest log: {len(interests)} interests in "
+              f"{ns.interest_log}")
     summary = {
         "command": "tunnel-demo",
         "payload_bytes": ns.payload_bytes,
@@ -473,12 +491,12 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
         "modes": [m.value for m in modes],
         "all_digests_match": matched,
         "timeout": timeout_msg,
+        "interest_log": log_summary,
     }
     return ("tunnel_demo",
             ("mode", "payload_bytes", "data_segments", "establish_exchanges",
              "terminate_exchanges", "interests_total", "digests_match"),
-            rows, summary,
-            None if ns.down or matched else "payload digest mismatch")
+            rows, summary, ", ".join(failures) or None)
 
 
 def _cmd_registry_demo(ns, out: Path) -> tuple:

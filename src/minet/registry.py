@@ -21,6 +21,14 @@ Resolution walks the tree:
    unique in a hierarchy, so identity is the same test and hashes in C)
    guarantees no domain is checked twice.
 
+The hierarchy owns its domains.  A domain links only downward, to its
+children; the hierarchy records each domain's ancestors, nearest first,
+as one tuple when it indexes the tree, and the upward walk reads that
+tuple.  So the tree holds no reference cycle, and a dropped hierarchy is
+freed by reference counting at once, not by the cyclic collector.  A
+`Domain` object of another hierarchy is refused by `register` and
+`resolve`, never silently used.
+
 The hop list always starts at the querying domain.  Committed records
 are replicated synchronously into a hierarchy-wide duplicate index
 (modeling frequently-synchronized registry databases), so duplicates
@@ -112,9 +120,8 @@ _RESOLVED = ResolutionOutcome.RESOLVED
 
 
 class Domain:
-    def __init__(self, name: ContentName, parent: Optional["Domain"] = None):
+    def __init__(self, name: ContentName):
         self.name = name
-        self.parent = parent
         self.children: list[Domain] = []
         self.down_supervisors: set[int] = set()
         self.chain = Chain(first_leader=SUPERVISORS[0])
@@ -127,7 +134,7 @@ class Domain:
                                            Optional[ForwardingInfo]]] = {}
 
     def add_child(self, label: str) -> "Domain":
-        child = Domain(self.name.child(label), parent=self)
+        child = Domain(self.name.child(label))
         self.children.append(child)
         return child
 
@@ -161,13 +168,18 @@ class Hierarchy:
         self.store_path = store_path
         self.committed: dict[Identifier, ContentName] = {}
         self._index: dict[ContentName, Domain] = {}
-        stack = [root]
+        # each domain's ancestors, nearest first; keyed by the domain
+        # itself, so it is also the membership test for Domain arguments
+        self._up: dict[Domain, tuple[Domain, ...]] = {}
+        stack = [(root, ())]
         while stack:
-            d = stack.pop()
+            d, up = stack.pop()
             if d.name in self._index:
                 raise RegistryError(f"duplicate domain name {d.name.text}")
             self._index[d.name] = d
-            stack.extend(d.children)
+            self._up[d] = up
+            up = (d, *up)
+            stack.extend((child, up) for child in d.children)
 
     @staticmethod
     def default(store_path=None) -> "Hierarchy":
@@ -193,12 +205,20 @@ class Hierarchy:
             raise RegistryError(f"no domain named "
                                 f"{key.text}") from None
 
+    def _member(self, domain: Domain | ContentName | str) -> Domain:
+        """The domain named, or the Domain given if it is one of ours."""
+        if not isinstance(domain, Domain):
+            return self.domain(domain)
+        if domain not in self._up:
+            raise RegistryError(f"domain {domain.name.text} is not in "
+                                f"this hierarchy")
+        return domain
+
     # -- registration -------------------------------------------------------
 
     def register(self, domain: Domain | ContentName | str,
                  request: RegistrationRequest) -> RegistrationRecord:
-        if not isinstance(domain, Domain):
-            domain = self.domain(domain)
+        domain = self._member(domain)
         if request.identifier in self.committed:
             where = self.committed[request.identifier].text
             raise Duplicate(f"{request.identifier.text} already committed "
@@ -259,8 +279,10 @@ class Hierarchy:
 
     def resolve(self, origin: Domain | ContentName | str,
                 ident: Identifier) -> ResolutionResult:
-        if not isinstance(origin, Domain):
-            origin = self.domain(origin)
+        up = self._up.get(origin)
+        if up is None:          # a name, or a Domain of another hierarchy
+            origin = self._member(origin)
+            up = self._up[origin]
         hops: list[ContentName] = [origin.name]
         found = self._check_domain(origin, ident)
         if found is not None:
@@ -274,15 +296,13 @@ class Hierarchy:
         if cached is not None:
             return _resolved(cached, hops, "served from cache")
         visited = {origin}
-        node = origin.parent
-        while node is not None:
+        for node in up:
             hops.append(node.name)
             visited.add(node)
             found = self._check_domain(node, ident)
             if found is not None:
                 self._cache(origin, found)
                 return _resolved(found, hops)
-            node = node.parent
         for domain in self._descent_order(ident, visited):
             hops.append(domain.name)
             visited.add(domain)

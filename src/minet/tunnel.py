@@ -443,12 +443,19 @@ class TunnelConnection:
 
 def run_scenario(mode: TunnelMode, payload: bytes,
                  down_nodes: Iterable[str] = (),
-                 segment_size: int = SEGMENT_SIZE) -> TransferReport:
-    """Establish, transfer, terminate; report fidelity and packet counts."""
+                 segment_size: int = SEGMENT_SIZE,
+                 log: Optional[list[InterestPacket]] = None) -> TransferReport:
+    """Establish, transfer, terminate; report fidelity and packet counts.
+    Every Interest the connection sent is appended to `log` if one is
+    given, also those sent before a down node timed the connection out."""
     conn = TunnelConnection(mode, segment_size=segment_size, down=down_nodes)
-    est = conn.establish()
-    segments = conn.send(payload)
-    fin = conn.terminate()
+    try:
+        est = conn.establish()
+        segments = conn.send(payload)
+        fin = conn.terminate()
+    finally:
+        if log is not None:
+            log.extend(conn.interest_log)
     return TransferReport(
         mode=mode.value,
         bytes_delivered=conn.bytes_delivered,

@@ -73,6 +73,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                         "--build-scaling", "5000:500",
                         "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().out == ""
+    # an interest log the run cannot write
+    assert run_command(["tunnel-demo", "--payload-bytes", "10", "--out",
+                        str(tmp_path), "--interest-log",
+                        str(tmp_path / "missing" / "log.bin")]) == 2
+    assert capsys.readouterr().err.startswith("error: --interest-log ")
 
 
 def test_subnormal_band_is_a_usage_error(tmp_path, capsys):
@@ -300,6 +305,7 @@ def test_tunnel_demo_all_modes(tmp_path, capsys):
     assert len(rows) == 4
     assert all(r["digests_match"] == "True" for r in rows)
     assert sidecar["all_digests_match"] is True
+    assert sidecar["interest_log"] is None
     est = {r["mode"]: r["establish_exchanges"] for r in rows}
     assert est == {"ip-ccn-ip": "3", "ip-ccn": "3",
                    "ccn-ip": "3", "ccn-ip-ccn": "3"}
@@ -313,6 +319,48 @@ def test_tunnel_demo_down_node_times_out(tmp_path, capsys):
     _, sidecar = read_report(tmp_path, "tunnel_demo")
     assert sidecar["timeout"]
     assert "folded to CLOSED" in capsys.readouterr().out
+
+
+def _in_process_log(modes, payload_bytes, segment_size, down):
+    """The Interests a TunnelConnection sends in each mode on tunnel-demo's
+    default-seed payload, in mode order."""
+    payload = np.random.default_rng(5).integers(
+        0, 256, size=payload_bytes, dtype=np.uint8).tobytes()
+    log = []
+    for mode in modes:
+        conn = tunnel.TunnelConnection(mode, segment_size=segment_size,
+                                       down=down)
+        try:
+            conn.establish()
+            conn.send(payload)
+            conn.terminate()
+        except tunnel.Timeout:
+            pass
+        log.extend(conn.interest_log)
+    return log
+
+
+@pytest.mark.parametrize("modes, size, segment, down", [
+    (list(tunnel.TunnelMode), 9000, 1000, ()),
+    # the SYN crosses the CCN segment to mir2, then B times it out
+    ([tunnel.TunnelMode.IP_CCN_IP], 100, tunnel.SEGMENT_SIZE, ("B",))])
+def test_tunnel_demo_interest_log_reads_back(tmp_path, capsys, modes, size,
+                                             segment, down):
+    path = tmp_path / "interests.bin"
+    argv = ["tunnel-demo", "--out", str(tmp_path), "--interest-log",
+            str(path), "--payload-bytes", str(size), "--segment-size",
+            str(segment)]
+    if down:
+        argv += ["--mode", modes[0].value, "--down", *down]
+    assert run_command(argv) == 0
+    expected = [p.encode() for p in _in_process_log(modes, size, segment,
+                                                    down)]
+    assert expected
+    assert [p.encode() for p in tunnel.read_interest_log(path)] == expected
+    _, sidecar = read_report(tmp_path, "tunnel_demo")
+    assert sidecar["interest_log"] == {"path": str(path),
+                                       "interests": len(expected)}
+    capsys.readouterr()
 
 
 def test_registry_demo(tmp_path, capsys):
@@ -407,6 +455,22 @@ def test_tunnel_digest_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     rows, sidecar = read_report(tmp_path, "tunnel_demo")
     assert sidecar["all_digests_match"] is False
     assert rows[0]["digests_match"] == "False"
+
+
+def test_tunnel_interest_log_read_back_mismatch_exits_1(tmp_path, capsys,
+                                                        monkeypatch):
+    read = tunnel.read_interest_log
+    monkeypatch.setattr(tunnel, "read_interest_log",
+                        lambda path: read(path)[:-1])
+    path = tmp_path / "interests.bin"
+    _assert_failed(tmp_path, capsys, [
+        "tunnel-demo", "--mode", "ccn-ip", "--payload-bytes", "100",
+        "--interest-log", str(path)], "tunnel_demo",
+        "interest log read back differs")
+    rows, sidecar = read_report(tmp_path, "tunnel_demo")
+    assert sidecar["all_digests_match"] is True
+    assert sidecar["interest_log"]["interests"] == len(read(path))
+    assert rows[0]["digests_match"] == "True"
 
 
 def test_registry_inconsistency_exits_1(tmp_path, capsys, monkeypatch):

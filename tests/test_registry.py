@@ -16,6 +16,7 @@ from minet.registry import (
     Duplicate,
     Hierarchy,
     RegistrationRequest,
+    RegistryError,
     ResolutionOutcome,
     read_record_store,
     record_from_dict,
@@ -40,10 +41,9 @@ def test_default_hierarchy_shape():
         "/top/eu", "/top/eu/de", "/top/eu/es", "/top/eu/fr",
         "/top/us", "/top/us/ca", "/top/us/ny",
     ]
-    gd = hier.domain("/top/cn/gd")
-    assert gd.parent is hier.domain("/top/cn")
-    assert gd.parent.parent is hier.root
-    assert gd.parent.parent.parent is None
+    res = hier.resolve("/top/cn/gd", Identifier.content("/no/such/thing"))
+    assert res.outcome is ResolutionOutcome.NOT_FOUND
+    assert [h.text for h in res.hops[:3]] == ["/top/cn/gd", "/top/cn", "/top"]
 
 
 def test_register_commits_record_chain_and_fib():
@@ -190,6 +190,31 @@ def test_unbound_identity_and_geo_walk_the_whole_tree():
     assert [h.text for h in bound.hops] == ["/top/us/ca", "/top/us", "/top",
                                             "/top/cn"]
     assert bound.forwarding.face_id == 7
+
+
+def test_domain_of_another_hierarchy_is_refused(tmp_path):
+    stores = tmp_path / "h1.jsonl", tmp_path / "h2.jsonl"
+    h1, h2 = (Hierarchy.default(store_path=s) for s in stores)
+    foreign = h2.domain("/top/cn")
+    request = content_request("/video/v1")
+    with pytest.raises(RegistryError, match="/top/cn is not in this"):
+        h1.register(foreign, request)
+    with pytest.raises(RegistryError, match="/top/cn is not in this"):
+        h1.resolve(foreign, request.identifier)
+    # nothing was written to either hierarchy
+    for hier in (h1, h2):
+        assert not hier.committed
+        assert hier.verify_consistency() == []
+        for domain in hier.domains():
+            assert domain.chain.height == 0 and domain.committed_ids == [None]
+            assert not domain.offchain and not domain.cache
+            assert not domain.fib.index
+    assert not any(s.exists() for s in stores)
+    # the same domain, named, is h1's own
+    assert h1.register("/top/cn", request).domain == foreign.name
+    assert h1.resolve("/top/cn", request.identifier).outcome is (
+        ResolutionOutcome.RESOLVED)
+    assert not h2.committed and foreign.chain.height == 0
 
 
 def test_consensus_failure_leaves_no_trace():

@@ -8,9 +8,6 @@ from collections import Counter
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minet"
 
 KEPT = {
-    "write_interest_log": "a CLI flag for the tunnel's Interest log will call it",
-    "read_interest_log": "a CLI flag for the tunnel's Interest log will call it",
-    "interest_log": "a CLI flag for the tunnel's Interest log will read it",
     "printed_residual_poly": "the paper's printed cubic, which acceptance "
                              "criterion 6 compares against",
     "generate_workload": "perfbench calls it",
