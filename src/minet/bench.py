@@ -258,19 +258,15 @@ def run_consistency_drill(*, operations: int = 10_000, lookups: int = 10_000,
 # -- build scaling ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class BuildTiming:
-    entry_count: int
-    build_wall_s: float
-
-
-@dataclass(frozen=True)
 class BuildScalingReport:
-    small: BuildTiming
-    big: BuildTiming
+    small_entries: int
+    big_entries: int
+    small_wall_s: float
+    big_wall_s: float
 
     @property
     def ratio(self) -> float:
-        return self.big.build_wall_s / self.small.build_wall_s
+        return self.big_wall_s / self.small_wall_s
 
 
 def _timed_insert(entries) -> float:
@@ -309,6 +305,5 @@ def measure_build_scaling(small: int = 100_000, big: int = 1_000_000, *,
     for _ in range(BUILD_REPEATS):
         small_walls.append(_timed_insert(entries[:small]))
         big_walls.append(_timed_insert(entries))
-    return BuildScalingReport(
-        BuildTiming(small, float(np.median(small_walls))),
-        BuildTiming(big, float(np.median(big_walls))))
+    return BuildScalingReport(small, big, float(np.median(small_walls)),
+                              float(np.median(big_walls)))

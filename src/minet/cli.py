@@ -2,8 +2,8 @@
 
 Every subcommand echoes a human-readable summary to stdout and returns
 its report to `run_command`, which alone writes the CSV and the JSON
-sidecar with the same stem into the directory named by --out and picks
-the exit code:
+sidecar into the directory named by --out, both named after the
+subcommand, and picks the exit code:
 
 * 0 — ran to completion (a simulated stall or injected fault that the
   run was asked to produce still counts as completion);
@@ -59,11 +59,12 @@ def run_command(argv=None) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        stem, header, rows, summary, failure = ns.handler(ns, out)
+        header, rows, summary, failure = ns.handler(ns, out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_report(out, stem, header, rows, summary)
+    _write_report(out, ns.command.replace("-", "_"), header, rows,
+                  {"command": ns.command, **summary})
     if failure is not None:
         print(f"FAILED: {failure}", file=sys.stderr)
         return 1
@@ -132,17 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"inject a fault (behaviors: "
                         f"{', '.join(sorted(simulate.FAULT_BEHAVIORS))})")
     p.set_defaults(handler=_cmd_consensus_sim)
-
-    p = sub.add_parser("model-eval",
-                       help="closed-form round timing and throughput for "
-                            "one configuration")
-    common(p)
-    p.add_argument("--nodes", type=int, default=3)
-    p.add_argument("--speedup", type=float, default=1.0,
-                   help="computation speedup factor a")
-    p.add_argument("--band", type=float, default=125e6)
-    p.add_argument("--txs-per-block", type=int, default=10_000)
-    p.set_defaults(handler=_cmd_model_eval)
 
     p = sub.add_parser("model-sweep",
                        help="grid of model evaluations over node counts, "
@@ -268,8 +258,8 @@ def _write_report(out: Path, stem: str, header, rows, summary: dict) -> None:
 
 
 # -- handlers -----------------------------------------------------------------
-# Each returns (stem, header, rows, summary, failure): failure is None or
-# the text run_command prints after "FAILED:".
+# Each returns (header, rows, summary, failure): failure is None or the
+# text run_command prints after "FAILED:".
 
 def _cmd_fib_bench(ns, out: Path) -> tuple:
     scaling_sizes = _pair(ns.build_scaling) if ns.build_scaling else None
@@ -289,35 +279,19 @@ def _cmd_fib_bench(ns, out: Path) -> tuple:
                      f"{r.linear_probes:.4f}", f"{r.binary_probes:.4f}",
                      f"{r.ratio_pct:.1f}", f"{r.linear_wall_s:.6f}",
                      f"{r.binary_wall_s:.6f}"))
-    summary = {
-        "command": "fib-bench",
-        "route": report.route,
-        "entry_count": report.entry_count,
-        "query_count": report.query_count,
-        "mode": ns.mode,
-        "mean_entry_len": ns.mean_entry_len,
-        "entry_len_mean": report.entry_len_mean,
-        "build_wall_s": report.build_wall_s,
-        "table_bytes_per_name": report.table_bytes_per_name,
-        "pack_wall_s": report.pack_wall_s,
-        "query_pack_wall_s": report.query_pack_wall_s,
-        "seed": ns.seed,
-    }
+    summary = {f.name: getattr(report, f.name)
+               for f in dataclasses.fields(report) if f.name != "rows"}
+    summary.update(mode=ns.mode, mean_entry_len=ns.mean_entry_len,
+                   seed=ns.seed)
     if scaling_sizes:
         small, big = scaling_sizes
         scaling = bench.measure_build_scaling(small, big, seed=ns.seed)
-        summary["build_scaling"] = {
-            "small_entries": scaling.small.entry_count,
-            "big_entries": scaling.big.entry_count,
-            "small_wall_s": scaling.small.build_wall_s,
-            "big_wall_s": scaling.big.build_wall_s,
-            "ratio": scaling.ratio,
-        }
+        summary["build_scaling"] = {**dataclasses.asdict(scaling),
+                                    "ratio": scaling.ratio}
         print(f"  build scaling {small}->{big}: "
-              f"{scaling.small.build_wall_s:.3f}s -> "
-              f"{scaling.big.build_wall_s:.3f}s (x{scaling.ratio:.2f})")
-    return ("fib_bench",
-            ("mode", "mean_entry_len", "query_len", "linear_probes",
+              f"{scaling.small_wall_s:.3f}s -> "
+              f"{scaling.big_wall_s:.3f}s (x{scaling.ratio:.2f})")
+    return (("mode", "mean_entry_len", "query_len", "linear_probes",
              "binary_probes", "ratio_pct", "linear_wall_s", "binary_wall_s"),
             rows, summary, None)
 
@@ -334,10 +308,9 @@ def _cmd_fib_check(ns, out: Path) -> tuple:
     rows = [(report.operations, report.lookups, report.integrity_checks,
              report.integrity_problems, report.mismatches,
              report.final_entries, f"{report.wall_s:.4f}")]
-    summary = {"command": "fib-check", "clean": report.clean, "seed": ns.seed,
+    summary = {"clean": report.clean, "seed": ns.seed,
                **dataclasses.asdict(report)}
-    return ("fib_check",
-            ("operations", "lookups", "integrity_checks", "integrity_problems",
+    return (("operations", "lookups", "integrity_checks", "integrity_problems",
              "mismatches", "final_entries", "wall_s"),
             rows, summary,
             None if report.clean else "table diverged from the reference")
@@ -379,34 +352,14 @@ def _cmd_consensus_sim(ns, out: Path) -> tuple:
           f"{s.divergences} divergences")
     if s.stalled_round is not None:
         print(f"stalled at round {s.stalled_round}: {s.stall_reason}")
-    summary = {"command": "consensus-sim",
-               "config": dataclasses.asdict(config),
-               **dataclasses.asdict(s)}
-    return "consensus_sim", SIM_CSV_HEADER, rows, summary, None
+    summary = {"config": dataclasses.asdict(config), **dataclasses.asdict(s)}
+    return SIM_CSV_HEADER, rows, summary, None
 
 
 def _model_row(cell: dict) -> tuple:
     return (cell["n"], cell["a"], f"{cell['band']:g}",
             f"{cell['t_tran']:.6f}", f"{cell['t_comp']:.6f}",
             f"{cell['t_cons']:.6f}", f"{cell['throughput']:.2f}")
-
-
-def _cmd_model_eval(ns, out: Path) -> tuple:
-    cell, = perfmodel.sweep_grid([ns.nodes], [ns.speedup], [ns.band],
-                                 ns.txs_per_block)
-    print(f"n={ns.nodes} a={ns.speedup:g} band={ns.band:g} B/s: "
-          f"t_tran {cell['t_tran']:.5f}s + t_comp {cell['t_comp']:.5f}s = "
-          f"t_cons {cell['t_cons']:.5f}s, "
-          f"throughput {cell['throughput']:.2f} tx/s")
-    coeffs = perfmodel.transmission_coefficient_report()
-    summary = {
-        "command": "model-eval",
-        **cell,
-        "txs_per_block": ns.txs_per_block,
-        "transmission_fit_consistent": coeffs.consistent,
-        "transmission_linear_gap_ratio": coeffs.linear_gap_ratio,
-    }
-    return "model_eval", MODEL_CSV_HEADER, [_model_row(cell)], summary, None
 
 
 def _cmd_model_sweep(ns, out: Path) -> tuple:
@@ -420,17 +373,18 @@ def _cmd_model_sweep(ns, out: Path) -> tuple:
           f"{len(speedups)} speedup(s), {len(bands)} band(s)")
     print(f"max throughput {best['throughput']:.2f} tx/s at "
           f"n={best['n']} a={best['a']:g} band={best['band']:g}")
+    coeffs = perfmodel.transmission_coefficient_report()
     summary = {
-        "command": "model-sweep",
         "cells": len(cells),
         "n_values": n_values,
         "speedups": speedups,
         "bands": bands,
         "txs_per_block": ns.txs_per_block,
         "best": best,
+        "transmission_fit_consistent": coeffs.consistent,
+        "transmission_linear_gap_ratio": coeffs.linear_gap_ratio,
     }
-    return ("model_sweep", MODEL_CSV_HEADER, [_model_row(c) for c in cells],
-            summary, None)
+    return MODEL_CSV_HEADER, [_model_row(c) for c in cells], summary, None
 
 
 def _cmd_tunnel_demo(ns, out: Path) -> tuple:
@@ -447,7 +401,10 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
     rows = []
     reports = []
     timeout_msg = None
-    interests = None if ns.interest_log is None else []
+    # only a node down times a mode out, in establish, and --down takes one
+    # mode; the connection counts the Interests of the flights that got
+    # through, so a timed-out row counts all it sent: the few in the log
+    interests = [] if ns.down or ns.interest_log is not None else None
     for mode in modes:
         try:
             rep = tunnel.run_scenario(mode, payload, down_nodes=ns.down,
@@ -457,7 +414,8 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
             timeout_msg = str(exc)
             print(f"{mode.value}: timeout, connection folded to CLOSED "
                   f"({exc})")
-            rows.append((mode.value, ns.payload_bytes, 0, 0, 0, 0, False))
+            rows.append((mode.value, ns.payload_bytes, 0, 0, 0,
+                         len(interests), False))
             continue
         reports.append(rep)
         print(f"{rep.mode}: {rep.bytes_delivered} bytes in "
@@ -471,7 +429,7 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
     matched = all(r.matched for r in reports)
     failures = [] if ns.down or matched else ["payload digest mismatch"]
     log_summary = None
-    if interests is not None:
+    if ns.interest_log is not None:
         try:
             tunnel.write_interest_log(ns.interest_log, interests)
         except OSError as exc:
@@ -483,7 +441,6 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
         print(f"interest log: {len(interests)} interests in "
               f"{ns.interest_log}")
     summary = {
-        "command": "tunnel-demo",
         "payload_bytes": ns.payload_bytes,
         "segment_size": ns.segment_size,
         "seed": ns.seed,
@@ -493,8 +450,7 @@ def _cmd_tunnel_demo(ns, out: Path) -> tuple:
         "timeout": timeout_msg,
         "interest_log": log_summary,
     }
-    return ("tunnel_demo",
-            ("mode", "payload_bytes", "data_segments", "establish_exchanges",
+    return (("mode", "payload_bytes", "data_segments", "establish_exchanges",
              "terminate_exchanges", "interests_total", "digests_match"),
             rows, summary, ", ".join(failures) or None)
 
@@ -577,7 +533,6 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
         ("duplicate not rejected exactly once", duplicates_rejected != 1))
     failed_checks = [name for name, failed in checks if failed]
     summary = {
-        "command": "registry-demo",
         "identifiers": ns.identifiers,
         "seed": ns.seed,
         "kind_counts": kind_counts,
@@ -589,8 +544,7 @@ def _cmd_registry_demo(ns, out: Path) -> tuple:
         "failed_checks": failed_checks,
         "record_store": "registry_records.jsonl",
     }
-    return ("registry_demo",
-            ("origin", "identifier", "outcome", "hop_count", "hops"),
+    return (("origin", "identifier", "outcome", "hop_count", "hops"),
             rows, summary,
             f"registry invariants violated: {', '.join(failed_checks)}"
             if failed_checks else None)

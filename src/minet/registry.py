@@ -21,13 +21,15 @@ Resolution walks the tree:
    unique in a hierarchy, so identity is the same test and hashes in C)
    guarantees no domain is checked twice.
 
-The hierarchy owns its domains.  A domain links only downward, to its
-children; the hierarchy records each domain's ancestors, nearest first,
-as one tuple when it indexes the tree, and the upward walk reads that
-tuple.  So the tree holds no reference cycle, and a dropped hierarchy is
-freed by reference counting at once, not by the cyclic collector.  A
-`Domain` object of another hierarchy is refused by `register` and
-`resolve`, never silently used.
+The hierarchy makes its own domains: one top domain, three regions and
+their districts, from `DEFAULT_TREE`, so no domain is shared with
+another hierarchy.  A domain links only downward, to its children; the
+hierarchy records each domain's ancestors, nearest first, as one tuple
+when it adds the domain, and the upward walk reads that tuple.  So the
+tree holds no reference cycle, and a dropped hierarchy is freed by
+reference counting at once, not by the cyclic collector.  A `Domain`
+object of another hierarchy is refused by `register` and `resolve`,
+never silently used.
 
 The hop list always starts at the querying domain.  Committed records
 are replicated synchronously into a hierarchy-wide duplicate index
@@ -59,6 +61,10 @@ from .hpt import Hpt
 from .names import ContentName, ForwardingInfo, IdKind, Identifier
 
 CACHE_LIMIT = 256
+# the domains below /top: each label maps to its children's
+DEFAULT_TREE = {"cn": {"gd": {}, "bj": {}},
+                "us": {"ca": {}, "ny": {}},
+                "eu": {"de": {}, "fr": {}, "es": {}}}
 SUPERVISORS = (0, 1, 2, 3)        # every domain's supervisor node ids
 # every round: all supervisors vote on one registration
 _ROUND_CONFIG = ConsensusConfig(n_c=len(SUPERVISORS), max_txs=1)
@@ -133,11 +139,6 @@ class Domain:
         self.cache: dict[Identifier, tuple[RegistrationRecord,
                                            Optional[ForwardingInfo]]] = {}
 
-    def add_child(self, label: str) -> "Domain":
-        child = Domain(self.name.child(label))
-        self.children.append(child)
-        return child
-
     def __repr__(self) -> str:
         return f"Domain({self.name.text})"
 
@@ -163,36 +164,30 @@ def default_compliance(domain: Domain,
 class Hierarchy:
     """A domain tree plus the registry operations running over it."""
 
-    def __init__(self, root: Domain, store_path=None):
-        self.root = root
+    def __init__(self, *, store_path=None):
+        self.root = Domain(ContentName.parse("/top"))
         self.store_path = store_path
         self.committed: dict[Identifier, ContentName] = {}
         self._index: dict[ContentName, Domain] = {}
         # each domain's ancestors, nearest first; keyed by the domain
         # itself, so it is also the membership test for Domain arguments
         self._up: dict[Domain, tuple[Domain, ...]] = {}
-        stack = [(root, ())]
+        stack = [(self.root, (), DEFAULT_TREE)]
         while stack:
-            d, up = stack.pop()
-            if d.name in self._index:
-                raise RegistryError(f"duplicate domain name {d.name.text}")
+            d, up, below = stack.pop()
             self._index[d.name] = d
             self._up[d] = up
             up = (d, *up)
-            stack.extend((child, up) for child in d.children)
+            for label, grandchildren in below.items():
+                child = Domain(d.name.child(label))
+                d.children.append(child)
+                stack.append((child, up, grandchildren))
 
     @staticmethod
     def default(store_path=None) -> "Hierarchy":
         """Three administrative levels: one top domain, three regions,
         two or three districts each."""
-        top = Domain(ContentName.parse("/top"))
-        for region, districts in (("cn", ("gd", "bj")),
-                                  ("us", ("ca", "ny")),
-                                  ("eu", ("de", "fr", "es"))):
-            r = top.add_child(region)
-            for d in districts:
-                r.add_child(d)
-        return Hierarchy(top, store_path=store_path)
+        return Hierarchy(store_path=store_path)
 
     def domains(self) -> Iterable[Domain]:
         return self._index.values()

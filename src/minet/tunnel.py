@@ -345,11 +345,9 @@ class TunnelConnection:
 
     def __init__(self, mode: TunnelMode, segment_size: int = SEGMENT_SIZE,
                  down: Iterable[str] = ()):
-        self.nodes = CHAINS[mode]
         self._route = _route(mode, frozenset(down))
         if segment_size < 1:
             raise TunnelError(f"segment size {segment_size} is not positive")
-        self.conn_id = CONN_ID
         self.segment_size = segment_size
         self.state = _CLOSED
         self.interests_sent = 0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path)]) == 2
     assert run_command(["consensus-sim", "--fault", "nonsense",
                         "--out", str(tmp_path)]) == 2
-    assert run_command(["model-eval", "--nodes", "2",
+    assert run_command(["model-sweep", "--nodes", "2",
                         "--out", str(tmp_path)]) == 2
     capsys.readouterr()
     for argv in (["fib-bench", "--query-lens", "6,x"],
@@ -48,9 +49,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["model-sweep", "--speedups", ","],
                  ["model-sweep", "--bands", "0"],
                  ["model-sweep", "--speedups", "0"],
-                 ["model-eval", "--band", "0"],
-                 ["model-eval", "--txs-per-block", "-10"],
-                 ["model-eval", "--speedup", "inf", "--band", "inf"],
+                 ["model-sweep", "--txs-per-block", "-10"],
                  ["model-sweep", "--speedups", "inf", "--bands", "inf"],
                  ["consensus-sim", "--band", "nan"],
                  ["consensus-sim", "--band", "inf"],
@@ -82,9 +81,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_subnormal_band_is_a_usage_error(tmp_path, capsys):
     # a positive band below one byte/second underflows in MB/s
-    for argv in (["model-eval", "--band", "1e-320"],
+    for argv in (["model-sweep", "--bands", "1e-320"],
                  ["model-sweep", "--bands", "125e6,1e-320"],
-                 ["model-eval", "--band", "0.5"]):
+                 ["model-sweep", "--bands", "0.5"]):
         assert run_command(argv + ["--out", str(tmp_path)]) == 2, argv
         err = capsys.readouterr().err
         assert err == ("error: bands must be finite and at least one "
@@ -95,6 +94,19 @@ def test_subnormal_band_is_a_usage_error(tmp_path, capsys):
 def test_help_exits_0(capsys):
     assert run_command(["--help"]) == 0
     assert "fib-bench" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("minet ")]
+    assert lines
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_fib_bench_report(tmp_path, capsys):
@@ -204,9 +216,10 @@ def test_consensus_sim_fault_stalls_cleanly(tmp_path, capsys):
     assert "stalled at round 2" in capsys.readouterr().out
 
 
-def test_model_eval_reference_point(tmp_path, capsys):
-    assert run_command(["model-eval", "--out", str(tmp_path)]) == 0
-    rows, sidecar = read_report(tmp_path, "model_eval")
+def test_model_sweep_reference_point(tmp_path, capsys):
+    assert run_command(["model-sweep", "--nodes", "3",
+                        "--out", str(tmp_path)]) == 0
+    rows, sidecar = read_report(tmp_path, "model_sweep")
     assert len(rows) == 1
     row = rows[0]
     assert row["n"] == "3" and row["a"] == "1.0"
@@ -214,7 +227,9 @@ def test_model_eval_reference_point(tmp_path, capsys):
     assert float(row["throughput"]) == pytest.approx(
         perfmodel.throughput_limit(3, 1.0, 125e6, 10_000), rel=1e-6)
     assert sidecar["transmission_fit_consistent"] is False
-    assert "t_cons" in capsys.readouterr().out
+    assert sidecar["transmission_linear_gap_ratio"] == (
+        perfmodel.transmission_coefficient_report().linear_gap_ratio)
+    assert "max throughput" in capsys.readouterr().out
 
 
 def test_model_sweep_grid(tmp_path, capsys):
@@ -357,9 +372,11 @@ def test_tunnel_demo_interest_log_reads_back(tmp_path, capsys, modes, size,
                                                     down)]
     assert expected
     assert [p.encode() for p in tunnel.read_interest_log(path)] == expected
-    _, sidecar = read_report(tmp_path, "tunnel_demo")
+    rows, sidecar = read_report(tmp_path, "tunnel_demo")
     assert sidecar["interest_log"] == {"path": str(path),
                                        "interests": len(expected)}
+    # a timed-out mode counts the Interests of the flight cut short too
+    assert sum(int(r["interests_total"]) for r in rows) == len(expected)
     capsys.readouterr()
 
 
@@ -391,9 +408,9 @@ PINNED_REPORTS = (
       "50", "--fault", "1:crash_at_round:2"],
      {"consensus_sim.csv": "055df0186c4600c18a71e41f9f644236"
                            "f6f554fa1ab9cd42eed0bf0c4d3478c8"}),
-    (["model-eval"],
-     {"model_eval.csv": "3c0fe974e14cc28434b8b0e30647efb7"
-                        "5b691064f9b22013c0eb501ddccdeee6"}),
+    (["model-sweep", "--nodes", "3"],
+     {"model_sweep.csv": "3c0fe974e14cc28434b8b0e30647efb7"
+                         "5b691064f9b22013c0eb501ddccdeee6"}),
     (["model-sweep", "--nodes", "3:8", "--speedups", "1,2",
       "--bands", "125e6,1e8"],
      {"model_sweep.csv": "b16a082a29d143b796029cbac307044f"
@@ -505,7 +522,6 @@ ENV_RUNS = (["fib-bench", "--entries", "2000", "--queries", "200",
              "--check-every", "100"],
             ["consensus-sim", "--nodes", "4", "--rounds", "2",
              "--txs-per-block", "50"],
-            ["model-eval"],
             ["model-sweep", "--nodes", "3:4"],
             ["tunnel-demo", "--payload-bytes", "100"],
             ["registry-demo", "--identifiers", "8"])

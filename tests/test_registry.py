@@ -217,6 +217,12 @@ def test_domain_of_another_hierarchy_is_refused(tmp_path):
     assert not h2.committed and foreign.chain.height == 0
 
 
+def test_hierarchy_makes_its_own_domains():
+    h1 = Hierarchy.default()
+    with pytest.raises(TypeError):
+        Hierarchy(h1.domain("/top/cn"))
+
+
 def test_consensus_failure_leaves_no_trace():
     hier = Hierarchy.default()
     gd = hier.domain("/top/cn/gd")

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from minet.names import ContentName
 from minet.tunnel import (
     A_IP,
+    CHAINS,
     CONN_ID,
     FLAG_ACK,
     FLAG_FIN,
@@ -77,7 +78,6 @@ def test_flag_names():
 def test_route_is_fixed_at_connect():
     conn = TunnelConnection(TunnelMode.CCN_IP)
     conn.establish()
-    assert conn.conn_id == CONN_ID
     assert conn.interest_log[0].name.text == f"/mir1/{CONN_ID}"
 
 
@@ -253,7 +253,7 @@ def test_back_to_back_connections_share_the_chain():
             assert conn.receiver_digest() == hashlib.sha256(payload).hexdigest()
             assert conn.bytes_delivered == len(payload)
             conns.append(conn)
-        assert conns[0].nodes is conns[1].nodes
+        assert conns[0]._route is conns[1]._route
 
 
 def test_down_is_per_connection():
@@ -290,7 +290,6 @@ def test_deterministic_interest_logs():
         conn.send(b"q" * 9000)
         conn.terminate()
     assert a.interest_log == b.interest_log
-    assert a.conn_id == b.conn_id
 
 
 def test_interest_bytes_are_pinned():
@@ -313,7 +312,7 @@ def test_down_node_runs_are_pinned():
     # Timeout text, hashed together
     digest = hashlib.sha256()
     for mode in MODES:
-        labels = [n.label for n in TunnelConnection(mode).nodes]
+        labels = [n.label for n in CHAINS[mode]]
         downs = [()] + [(a,) for a in labels] + [
             (a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
         for down in downs:
@@ -345,7 +344,7 @@ def test_interest_log_reads_are_equal_and_grow_by_prefix():
         assert full.interest_log == full.interest_log
         log = full.interest_log
         assert log[:len(after_establish)] == after_establish
-        for label in (n.label for n in full.nodes):
+        for label in (n.label for n in CHAINS[mode]):
             cut = TunnelConnection(mode, down={label})
             with pytest.raises(Timeout):
                 cut.establish()
@@ -433,7 +432,7 @@ def test_pickled_modes_hash_equal_and_hit_the_same_plans():
 
 
 def _labels(mode):
-    return [n.label for n in TunnelConnection(mode).nodes]
+    return [n.label for n in CHAINS[mode]]
 
 
 class _FlightReplay:
@@ -442,7 +441,7 @@ class _FlightReplay:
     that gets through counts its Interests and delivers its payload."""
 
     def __init__(self, mode, down, segment_size):
-        nodes = TunnelConnection(mode).nodes
+        nodes = CHAINS[mode]
         segments = mode.segments
         self.routes = {True: self._route(nodes[1:], segments, down),
                        False: self._route(nodes[-2::-1], segments[::-1],
